@@ -364,10 +364,11 @@ let e8_scenarios () =
         (fun alg ->
           (* fresh scenario per run: the simulator mutates placements *)
           let sc = build (rng_of 2024) in
-          let report =
-            Storsim.Simulator.run sc.Workloads.Scenarios.cluster
+          let _, report =
+            Storsim.Simulator.run ~rng:(rng_of 9)
+              ~choose:(M.choose_of_algorithm alg) ~policy:M.Engine.no_faults
+              sc.Workloads.Scenarios.cluster
               ~target:sc.Workloads.Scenarios.target
-              ~plan:(M.plan ~rng:(rng_of 9) alg)
           in
           Printf.printf "%18s %8s | %7d %7d %8.1f %7.2f\n" name
             (M.algorithm_to_string alg)
@@ -691,44 +692,39 @@ let e15_async () =
 
 let e16_online () =
   header "E16 [extension]  online migration (requests arriving mid-flight)";
-  Printf.printf "%10s %9s | %7s %8s %8s %10s\n" "requests" "arrival"
-    "rounds" "replans" "moves" "p50 latcy";
+  Printf.printf "Service.run: 25-move retargets, epochs of at most 16 rounds\n\n";
+  Printf.printf "%10s %9s | %6s %7s %8s %5s %5s %10s\n" "requests" "arrival"
+    "epochs" "rounds" "moves" "p50" "p99" "certified";
   List.iter
     (fun (n_req, gap) ->
       let rng = rng_of (n_req + gap) in
       let n_disks = 16 and n_items = 400 in
-      let caps = Array.init n_disks (fun i -> 1 + (i mod 3)) in
-      let disks =
-        Array.mapi (fun id cap -> Storsim.Disk.make ~id ~cap ()) caps
+      let cluster =
+        {
+          Service.caps = Array.init n_disks (fun i -> 1 + (i mod 3));
+          placement = Array.init n_items (fun _ -> Random.State.int rng n_disks);
+          demands = Array.make n_items 1.0;
+        }
       in
-      let before =
-        Storsim.Placement.create ~n_items (fun _ ->
-            Random.State.int rng n_disks)
-      in
-      let cluster = Storsim.Cluster.create ~disks ~placement:before in
       let requests =
         List.init n_req (fun k ->
             {
-              Storsim.Online.at_round = k * gap;
-              moves =
-                List.init 25 (fun _ ->
-                    ( Random.State.int rng n_items,
-                      Random.State.int rng n_disks ))
-                |> List.fold_left
-                     (fun acc (i, d) ->
-                       (i, d) :: List.filter (fun (j, _) -> j <> i) acc)
-                     [];
+              Service.at = k * gap;
+              tenant = 0;
+              trigger =
+                Service.Retarget
+                  (List.init 25 (fun _ ->
+                       ( Random.State.int rng n_items,
+                         Random.State.int rng n_disks )));
             })
       in
-      let report =
-        Storsim.Online.run cluster ~requests ~plan:(M.plan ~rng M.Auto)
-      in
-      let lat = Array.copy report.Storsim.Online.latencies in
-      Array.sort compare lat;
-      Printf.printf "%10d %9d | %7d %8d %8d %10d\n" n_req gap
-        report.Storsim.Online.rounds report.Storsim.Online.replans
-        report.Storsim.Online.items_moved
-        (if Array.length lat = 0 then 0 else lat.(Array.length lat / 2)))
+      let r = Service.run ~rng_seed:(n_req + gap) cluster ~requests () in
+      Printf.printf "%10d %9d | %6d %7d %8d %5d %5d %10s\n" n_req gap
+        r.Service.epochs r.Service.total_rounds r.Service.transfers
+        r.Service.p50 r.Service.p99
+        (if M.Certify.service_ok (M.Certify.certify_service r.Service.execution)
+         then "yes"
+         else "NO"))
     [ (1, 0); (4, 2); (4, 8); (12, 2); (12, 6) ]
 
 (* ------------------------------------------------------------------ *)
@@ -819,33 +815,36 @@ let e18_layout () =
 (* E19: flaky transport — retries and replans                          *)
 
 let e19_flaky () =
-  header "E19 [extension]  flaky transport: retry passes vs failure rate";
-  Printf.printf "%8s | %8s %8s %10s %12s   (mean of 5 seeds)\n" "p(fail)"
-    "passes" "rounds" "wall" "retried";
+  header "E19 [extension]  flaky transport: engine retries vs failure rate";
+  Printf.printf "%8s | %8s %8s %8s %8s %12s   (mean of 5 seeds)\n" "p(fail)"
+    "replans" "retries" "rounds" "wall" "quarantined";
   List.iter
     (fun rate ->
-      let passes = ref [] and rounds = ref [] and wall = ref [] and retried = ref [] in
+      let replans = ref [] and retries = ref [] and rounds = ref [] in
+      let wall = ref [] and quarantined = ref [] in
       for seed = 1 to 5 do
         let rng = rng_of ((seed * 100) + int_of_float (rate *. 100.0)) in
         let sc =
           Workloads.Scenarios.rebalance rng ~n_disks:12 ~n_items:400
             ~caps:[ 2; 3 ] ()
         in
-        let rep =
-          Storsim.Fault.run_with_transfer_failures rng
+        let o, report =
+          Storsim.Simulator.run ~rng
+            ~policy:(Storsim.Fault.engine_policy ~fault_rate:rate ~seed ())
             sc.Workloads.Scenarios.cluster
             ~target:sc.Workloads.Scenarios.target
-            ~plan:(M.plan ~rng M.Auto)
-            { Storsim.Fault.failure_rate = rate; max_attempt_passes = 100 }
         in
-        passes := float_of_int rep.Storsim.Fault.passes :: !passes;
-        rounds := float_of_int rep.Storsim.Fault.total_rounds :: !rounds;
-        wall := rep.Storsim.Fault.wall_time :: !wall;
-        retried := float_of_int rep.Storsim.Fault.failed_transfers :: !retried
+        replans := float_of_int o.M.Engine.replans :: !replans;
+        retries := float_of_int o.M.Engine.retries :: !retries;
+        rounds := float_of_int o.M.Engine.total_rounds :: !rounds;
+        wall := report.Storsim.Simulator.wall_time :: !wall;
+        quarantined :=
+          float_of_int (List.length o.M.Engine.quarantined) :: !quarantined
       done;
-      Printf.printf "%8.2f | %8.1f %8.1f %10.1f %12.1f\n" rate
-        (Mgraph.Stats.mean !passes) (Mgraph.Stats.mean !rounds)
-        (Mgraph.Stats.mean !wall) (Mgraph.Stats.mean !retried))
+      Printf.printf "%8.2f | %8.1f %8.1f %8.1f %8.1f %12.1f\n" rate
+        (Mgraph.Stats.mean !replans) (Mgraph.Stats.mean !retries)
+        (Mgraph.Stats.mean !rounds) (Mgraph.Stats.mean !wall)
+        (Mgraph.Stats.mean !quarantined))
     [ 0.0; 0.05; 0.15; 0.30; 0.50 ]
 
 (* ------------------------------------------------------------------ *)
@@ -908,10 +907,10 @@ let e21_restripe () =
       in
       let inst = job.Storsim.Cluster.instance in
       let lb = M.Lower_bounds.lower_bound ~rng:(rng_of 12) inst in
-      let report =
-        Storsim.Simulator.run sc.Workloads.Scenarios.cluster
+      let _, report =
+        Storsim.Simulator.run ~rng:(rng_of 13) ~policy:M.Engine.no_faults
+          sc.Workloads.Scenarios.cluster
           ~target:sc.Workloads.Scenarios.target
-          ~plan:(M.plan ~rng:(rng_of 13) M.Auto)
       in
       Printf.printf "%10s | %8d %8d %8d %10.1f\n" label
         report.Storsim.Simulator.items_moved lb report.Storsim.Simulator.rounds

@@ -6,7 +6,7 @@
      bounds     print the lower bounds of an instance
      plan       compute and print a migration schedule
      compare    run every algorithm on an instance and tabulate
-     simulate   run a full cluster scenario through the simulator
+     simulate   run a full cluster scenario through the execution engine
 
    Instances use the text format of [Migration.Instance.to_string]:
    "n m" header, a line of n capacities, then m "src dst" edge lines. *)
@@ -368,16 +368,15 @@ let tamper_execution (x : Migration.Certify.execution) =
   in
   { x with Migration.Certify.log = drop_first x.Migration.Certify.log }
 
-(* fault mode: drive the reconfiguration through the closed-loop
-   execution engine under an injected fault policy, then certify the
-   executed rounds independently *)
-let simulate_engine sc ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
+(* in-process mode: drive the reconfiguration through the closed-loop
+   execution engine under the seeded fault policy (rate 0 and no
+   events is fault-free), then certify the executed rounds
+   independently; the exit code is the certifier's verdict *)
+let simulate_engine sc ~alg ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
     ~inject_tamper ~metrics ~metrics_json =
   let cluster = sc.Workloads.Scenarios.cluster in
-  let job =
-    Storsim.Cluster.plan_reconfiguration cluster
-      ~target:sc.Workloads.Scenarios.target
-  in
+  let target = sc.Workloads.Scenarios.target in
+  let job = Storsim.Cluster.plan_reconfiguration cluster ~target in
   let inst = job.Storsim.Cluster.instance in
   (* calamities land inside the fault-free horizon so they actually
      bite; LB1 is a cheap deterministic proxy for it *)
@@ -393,27 +392,35 @@ let simulate_engine sc ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
       ~slowdowns:slow_events ~seed ()
   in
   Migration.Instr.reset ();
-  Printf.printf "scenario:  %s\n" sc.Workloads.Scenarios.name;
-  Printf.printf "policy:    %s\n" policy.Migration.Engine.policy_name;
   match
-    Migration.Engine.run ~rng:(rng_of_seed seed) ~jobs ~policy inst
+    Storsim.Simulator.run ~rng:(rng_of_seed seed) ~jobs
+      ~choose:(Migration.choose_of_algorithm alg) ~policy cluster ~target
   with
   | exception Migration.Engine.Plan_rejected msg ->
       Printf.eprintf "error: replan rejected mid-flight: %s\n" msg;
       exit 1
-  | o ->
-      Format.printf "%a@." Migration.Engine.pp_outcome o;
+  | o, report ->
+      let x = o.Migration.Engine.execution in
       if trace then
         print_string
           (Storsim.Trace.render
              (Storsim.Trace.capture_execution
-                ~disks:(Storsim.Cluster.disks cluster) job
-                o.Migration.Engine.execution));
-      let x =
-        if inject_tamper then tamper_execution o.Migration.Engine.execution
-        else o.Migration.Engine.execution
+                ~disks:(Storsim.Cluster.disks cluster) job x));
+      Printf.printf "scenario:  %s\n" sc.Workloads.Scenarios.name;
+      (* a faulty run reports what the engine did about the faults; a
+         fault-free one what the migration cost *)
+      if fault_rate > 0.0 || crashes > 0 || slows > 0 || inject_tamper then begin
+        Printf.printf "policy:    %s\n" policy.Migration.Engine.policy_name;
+        Format.printf "%a@." Migration.Engine.pp_outcome o
+      end
+      else begin
+        Printf.printf "algorithm: %s\n" (Migration.algorithm_to_string alg);
+        Format.printf "%a@." Storsim.Simulator.pp_report report
+      end;
+      let v =
+        Migration.Certify.certify_execution
+          (if inject_tamper then tamper_execution x else x)
       in
-      let v = Migration.Certify.certify_execution x in
       Format.printf "%a@." Migration.Certify.pp_exec v;
       report_metrics ~metrics ~metrics_json;
       if not (Migration.Certify.exec_ok v) then exit 1
@@ -522,6 +529,12 @@ let simulate scenario n_disks n_items alg seed jobs verbose trace fault_rate
         "error: --distributed executes fault-free; fault options are not \
          supported\n";
       exit 2
+  | Some _ when alg <> Migration.Auto ->
+      Printf.eprintf
+        "error: --distributed plans with auto; --algorithm %s is not \
+         supported\n"
+        (Migration.algorithm_to_string alg);
+      exit 2
   | Some _ | None -> ());
   let rng = rng_of_seed seed in
   let sc =
@@ -565,34 +578,8 @@ let simulate scenario n_disks n_items alg seed jobs verbose trace fault_rate
       simulate_distributed sc ~workers ~seed ~state_dir ~kill ~metrics
         ~metrics_json
   | None ->
-  if fault_rate > 0.0 || crashes > 0 || slows > 0 || inject_tamper then
-    simulate_engine sc ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
-      ~inject_tamper ~metrics ~metrics_json
-  else begin
-    (if trace then begin
-       let job =
-         Storsim.Cluster.plan_reconfiguration sc.Workloads.Scenarios.cluster
-           ~target:sc.Workloads.Scenarios.target
-       in
-       let sched =
-         Migration.plan ~rng:(rng_of_seed seed) alg job.Storsim.Cluster.instance
-       in
-       print_string
-         (Storsim.Trace.render
-            (Storsim.Trace.capture
-               ~disks:(Storsim.Cluster.disks sc.Workloads.Scenarios.cluster)
-               job sched))
-     end);
-    let report =
-      Storsim.Simulator.run sc.Workloads.Scenarios.cluster
-        ~target:sc.Workloads.Scenarios.target
-        ~plan:(Migration.plan ~rng:(rng_of_seed seed) alg)
-    in
-    Printf.printf "scenario:  %s\n" sc.Workloads.Scenarios.name;
-    Printf.printf "algorithm: %s\n" (Migration.algorithm_to_string alg);
-    Format.printf "%a@." Storsim.Simulator.pp_report report;
-    report_metrics ~metrics ~metrics_json
-  end
+      simulate_engine sc ~alg ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
+        ~inject_tamper ~metrics ~metrics_json
 
 let simulate_cmd =
   let scenario =
@@ -609,18 +596,17 @@ let simulate_cmd =
   in
   let trace =
     let doc =
-      "Print a per-disk Gantt trace (of the plan, or of the executed rounds \
-       in fault mode) first."
+      "Print a per-disk Gantt trace of the executed rounds first."
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
   let fault_rate =
     let doc =
-      "Per-transfer failure probability in [0, 1).  Any fault option \
-       switches the command into engine mode: the closed-loop \
-       simulate/detect/re-plan executor drives the migration, and every \
-       executed round is independently certified (non-zero exit when \
-       certification fails)."
+      "Per-transfer failure probability in [0, 1).  Every in-process run \
+       goes through the closed-loop simulate/detect/re-plan engine and \
+       has every executed round independently certified (non-zero exit \
+       when certification fails); any fault option switches the report \
+       from the cost summary to the engine's fault outcome."
     in
     Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"P" ~doc)
   in
@@ -672,10 +658,11 @@ let simulate_cmd =
       value & opt (some string) None & info [ "kill-at" ] ~docv:"SPEC" ~doc)
   in
   let doc =
-    "Run a cluster scenario end-to-end through the simulator, with \
-     $(b,--fault-rate)/$(b,--crash)/$(b,--slow) through the fault-tolerant \
-     execution engine, or with $(b,--distributed) across real coordinator \
-     and worker processes with durable, resumable state."
+    "Run a cluster scenario end-to-end through the fault-tolerant \
+     execution engine, injecting faults with \
+     $(b,--fault-rate)/$(b,--crash)/$(b,--slow), or with \
+     $(b,--distributed) across real coordinator and worker processes with \
+     durable, resumable state."
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(

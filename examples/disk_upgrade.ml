@@ -30,10 +30,11 @@ let () =
   Format.printf "even-opt: %d rounds (LB1 = %d -> provably optimal)@."
     (Migration.Schedule.n_rounds sched) lb1;
 
-  let report =
-    Storsim.Simulator.run sc.Workloads.Scenarios.cluster
+  let _, report =
+    Storsim.Simulator.run
+      ~choose:(Migration.choose_of_algorithm Migration.Even_opt)
+      ~policy:Migration.Engine.no_faults sc.Workloads.Scenarios.cluster
       ~target:sc.Workloads.Scenarios.target
-      ~plan:(Migration.plan Migration.Even_opt)
   in
   Format.printf "simulated: %a@.@." Storsim.Simulator.pp_report report;
 

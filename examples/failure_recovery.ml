@@ -1,20 +1,35 @@
 (* Failure recovery with a mid-migration capability change.
 
    A disk dies; its data is re-created from replicas and spread across
-   the survivors.  Halfway through the recovery one of the source disks
-   gets hit by a client-traffic spike and its available transfer
-   constraint drops from 4 to 1 — the situation the paper's
-   introduction gives for why c_v differs across disks and over time.
-   The remaining transfers are replanned under the new constraints.
+   the survivors.  During the recovery one of the source disks gets
+   hit by a client-traffic spike and its available transfer constraint
+   drops from 4 to 1 — the situation the paper's introduction gives
+   for why c_v differs across disks and over time.  The execution
+   engine models the spike as two slowdowns of disk 0 (each halves
+   c_v) and re-plans the remaining transfers under the degraded
+   constraints.
 
    Run with:  dune exec examples/failure_recovery.exe *)
 
-let () =
-  let rng = Random.State.make [| 13 |] in
-  let sc =
-    Workloads.Scenarios.failure_recovery rng ~n_disks:12 ~failed:5
-      ~n_items:600 ~caps:[ 4; 2; 4; 2 ] ()
+let build () =
+  Workloads.Scenarios.failure_recovery
+    (Random.State.make [| 13 |])
+    ~n_disks:12 ~failed:5 ~n_items:600 ~caps:[ 4; 2; 4; 2 ] ()
+
+(* a fresh scenario per run: the simulator moves the cluster *)
+let recover policy =
+  let sc = build () in
+  let outcome, report =
+    Storsim.Simulator.run
+      ~rng:(Random.State.make [| 14 |])
+      ~choose:(Migration.choose_of_algorithm Migration.Hetero)
+      ~policy sc.Workloads.Scenarios.cluster
+      ~target:sc.Workloads.Scenarios.target
   in
+  (sc, outcome, report)
+
+let () =
+  let sc = build () in
   let job =
     Storsim.Cluster.plan_reconfiguration sc.Workloads.Scenarios.cluster
       ~target:sc.Workloads.Scenarios.target
@@ -23,17 +38,24 @@ let () =
   Format.printf "Disk 5 failed; %d items must be re-created from replicas.@."
     (Migration.Instance.n_items inst);
   Format.printf "Lower bound for the recovery: %d rounds.@.@."
-    (Migration.Lower_bounds.lower_bound ~rng inst);
+    (Migration.Lower_bounds.lower_bound ~rng:(Random.State.make [| 13 |]) inst);
 
-  let report =
-    Storsim.Fault.run_with_change sc.Workloads.Scenarios.cluster
-      ~target:sc.Workloads.Scenarios.target
-      ~plan:(Migration.plan ~rng Migration.Hetero)
-      { Storsim.Fault.after_round = 3; disk = 0; new_cap = 1 }
+  let _, _, calm = recover Migration.Engine.no_faults in
+  Format.printf "without the spike:@.%a@.@." Storsim.Simulator.pp_report calm;
+
+  let spike =
+    Storsim.Fault.engine_policy ~slowdowns:[ (3, 0); (4, 0) ] ~seed:13 ()
   in
-  Format.printf "phase 1 (before the traffic spike on disk 0):@.%a@.@."
-    Storsim.Simulator.pp_report report.Storsim.Fault.before;
-  Format.printf "phase 2 (disk 0 degraded to c=1, replanned):@.%a@.@."
-    Storsim.Simulator.pp_report report.Storsim.Fault.after;
-  Format.printf "total: %d rounds, wall %.1f@." report.Storsim.Fault.total_rounds
-    report.Storsim.Fault.total_wall_time
+  let sc, outcome, report = recover spike in
+  Format.printf
+    "traffic spike on disk 0 (c=4 -> 2 after round 3, -> 1 after round 4):@.%a@."
+    Storsim.Simulator.pp_report report;
+  Format.printf "replans: %d@." outcome.Migration.Engine.replans;
+  List.iter
+    (fun (d, c) -> Format.printf "disk %d ends at c=%d@." d c)
+    outcome.Migration.Engine.degraded;
+  Format.printf "recovered: %b@.%a@."
+    (Storsim.Cluster.reached sc.Workloads.Scenarios.cluster
+       ~target:sc.Workloads.Scenarios.target)
+    Migration.Certify.pp_exec
+    (Migration.Certify.certify_execution outcome.Migration.Engine.execution)

@@ -36,10 +36,11 @@ let () =
           ~n_disks:16 ~n_items:800 ~zipf_s:1.0 ~shift_fraction:0.35
           ~caps:[ 1; 2; 2; 4 ] ()
       in
-      let report =
-        Storsim.Simulator.run sc.Workloads.Scenarios.cluster
+      let _, report =
+        Storsim.Simulator.run ~rng
+          ~choose:(Migration.choose_of_algorithm alg)
+          ~policy:Migration.Engine.no_faults sc.Workloads.Scenarios.cluster
           ~target:sc.Workloads.Scenarios.target
-          ~plan:(Migration.plan ~rng alg)
       in
       Format.printf "%-8s %3d rounds   wall %.1f   utilization %.2f@."
         (Migration.algorithm_to_string alg)
@@ -54,10 +55,11 @@ let () =
       (Random.State.make [| 2026 |])
       ~n_disks:16 ~n_items:800 ~zipf_s:1.0 ~shift_fraction:0.35 ~caps:[ 1 ] ()
   in
-  let report =
-    Storsim.Simulator.run sc1.Workloads.Scenarios.cluster
+  let _, report =
+    Storsim.Simulator.run ~rng
+      ~choose:(Migration.choose_of_algorithm Migration.Hetero)
+      ~policy:Migration.Engine.no_faults sc1.Workloads.Scenarios.cluster
       ~target:sc1.Workloads.Scenarios.target
-      ~plan:(Migration.plan ~rng Migration.Hetero)
   in
   Format.printf "@.single-stream baseline (all c_v = 1): %d rounds, wall %.1f@."
     report.Storsim.Simulator.rounds report.Storsim.Simulator.wall_time

@@ -1,10 +1,11 @@
 (* Operations view: live request streams, execution traces, and the
    cost of round barriers.
 
-   Shows the simulator features around the core scheduler: a request
-   stream handled online with replanning, the per-disk Gantt trace of
-   the resulting migration, and the same work executed without round
-   barriers.
+   Shows the features around the core scheduler: the per-disk Gantt
+   trace of a migration, the same work executed without round
+   barriers, and a request stream served online by the migration
+   service (Service), which batches arrivals into epochs and replans
+   the outstanding work.
 
    Run with:  dune exec examples/online_operations.exe *)
 
@@ -41,29 +42,34 @@ let () =
     async.Storsim.Async_exec.makespan
     (100.0 *. (barrier -. async.Storsim.Async_exec.makespan) /. barrier);
 
-  (* a request stream handled online *)
-  let cluster2 = Storsim.Cluster.create ~disks ~placement:before in
+  (* a request stream handled online by the migration service *)
   let requests =
     List.init 6 (fun k ->
         {
-          Storsim.Online.at_round = k * 3;
-          moves =
-            List.init 20 (fun _ ->
-                (Random.State.int rng n_items, Random.State.int rng n_disks))
-            |> List.fold_left
-                 (fun acc (i, d) ->
-                   (i, d) :: List.filter (fun (j, _) -> j <> i) acc)
-                 [];
+          Service.at = k * 3;
+          tenant = 0;
+          trigger =
+            Service.Retarget
+              (List.init 20 (fun _ ->
+                   (Random.State.int rng n_items, Random.State.int rng n_disks)));
         })
   in
   let report =
-    Storsim.Online.run cluster2 ~requests ~plan:(Migration.plan ~rng Migration.Auto)
+    Service.run ~rng_seed:404
+      {
+        Service.caps = caps;
+        placement = Storsim.Placement.to_array before;
+        demands = Array.make n_items 1.0;
+      }
+      ~requests ()
   in
   Format.printf "=== online request stream ===@.";
   Format.printf "6 requests, ~20 moves each, arriving every 3 rounds@.";
-  Format.printf "total rounds %d, replans %d, transfers %d@."
-    report.Storsim.Online.rounds report.Storsim.Online.replans
-    report.Storsim.Online.items_moved;
-  Array.iteri
-    (fun i l -> Format.printf "  request %d completed %d rounds after arrival@." i l)
-    report.Storsim.Online.latencies
+  Format.printf "total rounds %d, epochs %d, transfers %d@."
+    report.Service.total_rounds report.Service.epochs report.Service.transfers;
+  List.iter
+    (fun (i, l) -> Format.printf "  request %d completed %d rounds after arrival@." i l)
+    report.Service.latencies;
+  Format.printf "flight log certified: %b@."
+    (Migration.Certify.service_ok
+       (Migration.Certify.certify_service report.Service.execution))

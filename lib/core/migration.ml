@@ -81,6 +81,15 @@ let solver_of_algorithm = function
   | Orbit_driven -> Solver.orbits
   | Sla_greedy -> Objective.sla_greedy
 
+(** The per-component selection rule {!Engine.run} plans [alg] with:
+    [Auto] is {!Pipeline.auto_choose}, any other algorithm its solver
+    on every component. *)
+let choose_of_algorithm = function
+  | Auto -> Pipeline.auto_choose
+  | alg ->
+      let solver = solver_of_algorithm alg in
+      fun _ -> solver
+
 (** [plan ?rng alg inst] computes a feasible schedule.  Every algorithm
     returns a schedule that passes {!Schedule.validate}; they differ
     in how close to the optimum round count they land (see

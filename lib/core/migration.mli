@@ -56,6 +56,11 @@ val all_algorithms : algorithm list
     the registered built-ins. *)
 val solver_of_algorithm : algorithm -> Solver.t
 
+(** The per-component selection rule {!Engine.run} plans [alg] with:
+    [Auto] is {!Pipeline.auto_choose}, any other algorithm its solver
+    on every component. *)
+val choose_of_algorithm : algorithm -> Instance.t -> Solver.t
+
 (** [plan ?rng alg inst] computes a feasible schedule.  Every algorithm
     returns a schedule that passes {!Schedule.validate}; they differ
     in how close to the optimum round count they land (see

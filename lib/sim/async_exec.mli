@@ -1,6 +1,6 @@
 (** Work-conserving (round-free) execution of migrations.
 
-    The paper's model — and {!Simulator} — executes schedules in
+    The paper's model — and {!Migration.Engine} — executes schedules in
     lock-step rounds: a round ends only when its slowest transfer
     finishes.  Real data paths are work-conserving: a transfer starts
     the moment both endpoints have a free stream slot.  This module is
@@ -18,7 +18,7 @@
 
     Executing a planner's schedule with {!By_schedule} keeps the
     planner's intent (earlier rounds first) but drops the barriers;
-    comparing it against {!Simulator.execute} isolates the barrier
+    comparing it against {!Bandwidth.schedule_duration} isolates the barrier
     cost, while {!Fifo} shows what no planning at all achieves. *)
 
 type policy =

@@ -1,96 +1,3 @@
-type change = { after_round : int; disk : int; new_cap : int }
-
-type report = {
-  before : Simulator.report;
-  after : Simulator.report;
-  total_rounds : int;
-  total_wall_time : float;
-}
-
-let truncate_schedule sched k =
-  let rounds = Migration.Schedule.rounds sched in
-  let k = min k (Array.length rounds) in
-  Migration.Schedule.of_rounds (Array.sub rounds 0 k)
-
-let run_with_change cluster ~target ~plan change =
-  if change.new_cap < 1 then invalid_arg "Fault: capacity must stay >= 1";
-  if change.disk < 0 || change.disk >= Cluster.n_disks cluster then
-    invalid_arg "Fault: unknown disk";
-  let job = Cluster.plan_reconfiguration cluster ~target in
-  let sched = plan job.Cluster.instance in
-  let prefix = truncate_schedule sched change.after_round in
-  (* executing a prefix is feasible iff the whole schedule is; validate
-     against a sub-instance containing only the prefix items *)
-  let before =
-    if Migration.Schedule.n_rounds prefix = 0 then
-      {
-        Simulator.rounds = 0;
-        wall_time = 0.0;
-        per_round = [||];
-        items_moved = 0;
-        max_streams = 0;
-        mean_utilization = 1.0;
-      }
-    else begin
-      (* Build a job restricted to the prefix's edges so validation
-         passes (all items scheduled exactly once). *)
-      let g = Migration.Instance.graph job.Cluster.instance in
-      let keep = Hashtbl.create 64 in
-      Array.iter
-        (fun edges -> List.iter (fun e -> Hashtbl.add keep e ()) edges)
-        (Migration.Schedule.rounds prefix);
-      let sub, mapping = Mgraph.Multigraph.sub g (Hashtbl.mem keep) in
-      let caps = Migration.Instance.caps job.Cluster.instance in
-      let sub_inst = Migration.Instance.create sub ~caps in
-      let old_of_new = mapping in
-      let new_of_old = Hashtbl.create 64 in
-      Array.iteri (fun nw od -> Hashtbl.add new_of_old od nw) old_of_new;
-      let sub_rounds =
-        Array.map
-          (fun edges -> List.map (Hashtbl.find new_of_old) edges)
-          (Migration.Schedule.rounds prefix)
-      in
-      let sub_job =
-        {
-          Cluster.instance = sub_inst;
-          items = Array.map (fun od -> job.Cluster.items.(od)) old_of_new;
-          sources = Array.map (fun od -> job.Cluster.sources.(od)) old_of_new;
-          targets = Array.map (fun od -> job.Cluster.targets.(od)) old_of_new;
-        }
-      in
-      Simulator.execute cluster sub_job
-        (Migration.Schedule.of_rounds sub_rounds)
-    end
-  in
-  (* apply the capability change *)
-  let disks = Cluster.disks cluster in
-  let changed =
-    Array.map
-      (fun (d : Disk.t) ->
-        if d.Disk.id = change.disk then { d with Disk.cap = change.new_cap }
-        else d)
-      disks
-  in
-  let cluster' =
-    Cluster.create ~disks:changed ~placement:(Cluster.placement cluster)
-  in
-  let after = Simulator.run cluster' ~target ~plan in
-  (* fold the final placement back into the caller's cluster *)
-  let final = Cluster.placement cluster' in
-  Array.iteri
-    (fun item d -> Placement.move (Cluster.placement cluster) ~item ~target:d)
-    (Placement.to_array final);
-  assert (Cluster.reached cluster ~target);
-  {
-    before;
-    after;
-    total_rounds = before.Simulator.rounds + after.Simulator.rounds;
-    total_wall_time = before.Simulator.wall_time +. after.Simulator.wall_time;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Seeded fault policies for the execution engine                      *)
-
 let engine_policy ?(fault_rate = 0.0) ?(crashes = []) ?(slowdowns = []) ~seed
     () =
   if fault_rate < 0.0 || fault_rate >= 1.0 then
@@ -152,65 +59,3 @@ let random_calamities rng ~n_disks ~horizon ~crashes ~slowdowns =
   let crash_events = List.init crashes (fun _ -> event ()) in
   let slow_events = List.init slowdowns (fun _ -> event ()) in
   (crash_events, slow_events)
-
-(* ------------------------------------------------------------------ *)
-(* Flaky transport                                                     *)
-
-type flaky = { failure_rate : float; max_attempt_passes : int }
-
-type flaky_report = {
-  passes : int;
-  total_rounds : int;
-  wall_time : float;
-  failed_transfers : int;
-}
-
-exception Too_flaky of flaky_report
-
-let run_with_transfer_failures rng cluster ~target ~plan flaky =
-  if flaky.failure_rate < 0.0 || flaky.failure_rate >= 1.0 then
-    invalid_arg "Fault: failure_rate must be in [0, 1)";
-  if flaky.max_attempt_passes < 1 then
-    invalid_arg "Fault: need at least one pass";
-  let disks = Cluster.disks cluster in
-  let passes = ref 0 in
-  let total_rounds = ref 0 in
-  let wall_time = ref 0.0 in
-  let failed_transfers = ref 0 in
-  let report () =
-    {
-      passes = !passes;
-      total_rounds = !total_rounds;
-      wall_time = !wall_time;
-      failed_transfers = !failed_transfers;
-    }
-  in
-  while not (Cluster.reached cluster ~target) do
-    if !passes >= flaky.max_attempt_passes then raise (Too_flaky (report ()));
-    incr passes;
-    let job = Cluster.plan_reconfiguration cluster ~target in
-    let sched = plan job.Cluster.instance in
-    (match Migration.Schedule.validate job.Cluster.instance sched with
-    | Ok () -> ()
-    | Error msg -> raise (Simulator.Infeasible msg));
-    Array.iter
-      (fun edges ->
-        (* the round runs in full — failures waste their streams *)
-        incr total_rounds;
-        wall_time :=
-          !wall_time
-          +. Bandwidth.round_duration ~disks
-               ~transfers:
-                 (List.map
-                    (fun e -> (job.Cluster.sources.(e), job.Cluster.targets.(e)))
-                    edges)
-               ();
-        List.iter
-          (fun e ->
-            if Random.State.float rng 1.0 < flaky.failure_rate then
-              incr failed_transfers
-            else Cluster.apply_transfer cluster job e)
-          edges)
-      (Migration.Schedule.rounds sched)
-  done;
-  report ()

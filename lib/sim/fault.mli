@@ -1,43 +1,15 @@
-(** Fault injection: mid-migration capability changes.
+(** Fault injection for the execution engine.
 
     The paper motivates heterogeneous constraints partly by disks whose
     available migration bandwidth changes with client traffic
-    (Section I).  This module simulates the operational story: a
-    migration is underway, a disk degrades (its transfer constraint
-    drops — e.g. it starts serving a traffic spike) or upgrades, and
-    the remaining transfers must be replanned under the new
-    constraints. *)
-
-type change = {
-  after_round : int;  (** the change lands once this many rounds ran *)
-  disk : int;
-  new_cap : int;      (** must stay [>= 1] *)
-}
-
-type report = {
-  before : Simulator.report;  (** rounds executed under the old plan *)
-  after : Simulator.report;   (** replanned remainder *)
-  total_rounds : int;
-  total_wall_time : float;
-}
-
-(** [run_with_change cluster ~target ~plan change] executes the plan
-    until [change.after_round], applies the capability change, replans
-    the remaining moves with [plan] under the new constraints, and
-    finishes.  The cluster ends at [target] (asserted).
-    @raise Invalid_argument on a bad disk id or capacity. *)
-val run_with_change :
-  Cluster.t ->
-  target:Placement.t ->
-  plan:(Migration.Instance.t -> Migration.Schedule.t) ->
-  change ->
-  report
-
-(** {1 Engine fault policies}
-
-    Seeded fault injection for {!Migration.Engine.run}: the
-    operational fault model (transient failures, crashes, slowdowns)
-    packaged as a deterministic {!Migration.Engine.policy}. *)
+    (Section I).  This module packages the operational fault model —
+    transient transfer failures, disk crashes, and slowdowns that halve
+    a disk's [c_v] mid-migration — as deterministic
+    {!Migration.Engine.policy} values.  The engine consults the policy
+    every executed round, retries failed transfers, quarantines the
+    edges of crashed disks and re-plans the affected components under
+    the degraded constraints; {!Simulator.run} drives a cluster through
+    it. *)
 
 (** [engine_policy ~seed ()] builds the stochastic policy the CLI and
     the fuzz harness inject: every attempted transfer independently
@@ -70,34 +42,3 @@ val random_calamities :
   crashes:int ->
   slowdowns:int ->
   (int * int) list * (int * int) list
-
-(** Flaky transport: each transfer independently fails with probability
-    [failure_rate] (the item stays on its source; the round still pays
-    full duration for the wasted stream).  After a full schedule pass,
-    the surviving moves are re-planned and retried — up to
-    [max_attempt_passes] whole passes. *)
-type flaky = {
-  failure_rate : float;        (** in [0, 1) *)
-  max_attempt_passes : int;    (** >= 1 *)
-}
-
-type flaky_report = {
-  passes : int;                (** planning passes needed *)
-  total_rounds : int;
-  wall_time : float;
-  failed_transfers : int;      (** transfers that had to be retried *)
-}
-
-exception Too_flaky of flaky_report
-(** Raised when items remain after [max_attempt_passes] passes. *)
-
-(** [run_with_transfer_failures rng cluster ~target ~plan flaky] —
-    drives the cluster to [target] despite transfer failures.
-    @raise Invalid_argument on a bad rate or pass budget. *)
-val run_with_transfer_failures :
-  Random.State.t ->
-  Cluster.t ->
-  target:Placement.t ->
-  plan:(Migration.Instance.t -> Migration.Schedule.t) ->
-  flaky ->
-  flaky_report

@@ -1,8 +1,3 @@
-let log_src =
-  Logs.Src.create "storsim.simulator" ~doc:"round-by-round execution"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type report = {
   rounds : int;
   wall_time : float;
@@ -12,87 +7,49 @@ type report = {
   mean_utilization : float;
 }
 
-exception Infeasible of string
-
-let execute cluster (job : Cluster.job) sched =
-  (match Migration.Schedule.validate job.Cluster.instance sched with
-  | Ok () -> ()
-  | Error msg -> raise (Infeasible msg));
-  let disks = Cluster.disks cluster in
-  let n = Array.length disks in
+let of_execution ~disks (job : Cluster.job) (x : Migration.Certify.execution) =
+  let t = Trace.capture_execution ~disks job x in
+  let rounds = Trace.n_rounds t in
   let total_cap =
     Array.fold_left (fun acc (d : Disk.t) -> acc + d.Disk.cap) 0 disks
   in
-  let rounds = Migration.Schedule.rounds sched in
-  let per_round = Array.make (Array.length rounds) 0.0 in
-  let items_moved = ref 0 in
   let max_streams = ref 0 in
   let util_sum = ref 0.0 in
-  Array.iteri
-    (fun r edges ->
-      let streams = Array.make n 0 in
-      List.iter
-        (fun e ->
-          let src = job.Cluster.sources.(e) in
-          let item = job.Cluster.items.(e) in
-          if Placement.disk_of (Cluster.placement cluster) item <> src then
-            raise
-              (Infeasible
-                 (Printf.sprintf "round %d: item %d is not on disk %d" r item
-                    src));
-          streams.(src) <- streams.(src) + 1;
-          streams.(job.Cluster.targets.(e)) <-
-            streams.(job.Cluster.targets.(e)) + 1)
-        edges;
-      Array.iteri
-        (fun v s ->
-          if s > disks.(v).Disk.cap then
-            raise
-              (Infeasible
-                 (Printf.sprintf "round %d: disk %d runs %d streams (c=%d)" r v
-                    s disks.(v).Disk.cap));
-          if s > !max_streams then max_streams := s)
-        streams;
-      per_round.(r) <-
-        Bandwidth.round_duration ~disks
-          ~transfers:
-            (List.map
-               (fun e -> (job.Cluster.sources.(e), job.Cluster.targets.(e)))
-               edges)
-          ();
-      if total_cap > 0 then
-        util_sum :=
-          !util_sum
-          +. (float_of_int (Array.fold_left ( + ) 0 streams)
-             /. float_of_int total_cap);
-      List.iter
-        (fun e ->
-          Cluster.apply_transfer cluster job e;
-          incr items_moved)
-        edges)
-    rounds;
+  for round = 0 to rounds - 1 do
+    let used = ref 0 in
+    for disk = 0 to Trace.n_disks t - 1 do
+      let s = Trace.streams t ~round ~disk in
+      used := !used + s;
+      if s > !max_streams then max_streams := s
+    done;
+    if total_cap > 0 then
+      util_sum := !util_sum +. (float_of_int !used /. float_of_int total_cap)
+  done;
+  let per_round = Trace.durations t in
   {
-    rounds = Array.length rounds;
+    rounds;
     wall_time = Array.fold_left ( +. ) 0.0 per_round;
     per_round;
-    items_moved = !items_moved;
+    items_moved =
+      List.fold_left
+        (fun acc r -> acc + List.length r.Migration.Certify.completed)
+        0 x.Migration.Certify.log;
     max_streams = !max_streams;
     mean_utilization =
-      (if Array.length rounds = 0 then 1.0
-       else !util_sum /. float_of_int (Array.length rounds));
+      (if rounds = 0 then 1.0 else !util_sum /. float_of_int rounds);
   }
 
-let run cluster ~target ~plan =
+let run ?rng ?jobs ?choose ~policy cluster ~target =
   let job = Cluster.plan_reconfiguration cluster ~target in
-  let sched = plan job.Cluster.instance in
-  Log.info (fun m ->
-      m "migrating %d items in %d rounds"
-        (Array.length job.Cluster.items)
-        (Migration.Schedule.n_rounds sched));
-  let report = execute cluster job sched in
-  assert (Cluster.reached cluster ~target);
-  Log.info (fun m -> m "done: wall time %.2f" report.wall_time);
-  report
+  let outcome =
+    Migration.Engine.run ?rng ?jobs ?choose ~policy job.Cluster.instance
+  in
+  let x = outcome.Migration.Engine.execution in
+  List.iter
+    (fun r ->
+      List.iter (Cluster.apply_transfer cluster job) r.Migration.Certify.completed)
+    x.Migration.Certify.log;
+  (outcome, of_execution ~disks:(Cluster.disks cluster) job x)
 
 let pp_report ppf r =
   Format.fprintf ppf

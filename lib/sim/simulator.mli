@@ -1,35 +1,48 @@
-(** Schedule execution.
+(** Cluster migrations through the execution engine.
 
-    Runs a migration schedule against a cluster round by round:
-    checks feasibility as it goes (items depart from the disk that
-    actually holds them, no disk exceeds its transfer constraint),
-    moves the items, and accounts wall-clock time under the
-    bandwidth-splitting model.  This is the end-to-end check that a
-    scheduler's output actually migrates the data. *)
+    Diffs the cluster's placement against a target, executes the
+    resulting migration with {!Migration.Engine.run} (which certifies
+    every plan before a transfer runs), moves each {e completed}
+    transfer of the flight log onto the cluster, and costs the executed
+    rounds under the bandwidth-splitting model.  The engine's flight
+    log is the only execution record: this module adds a cost fold,
+    not a second executor. *)
 
 type report = {
-  rounds : int;
+  rounds : int;               (** executed rounds (idle rounds excluded) *)
   wall_time : float;          (** sum of round durations *)
   per_round : float array;
-  items_moved : int;
+  items_moved : int;          (** completed transfers *)
   max_streams : int;          (** busiest disk-round stream count *)
   mean_utilization : float;   (** used streams / Σc_v, averaged *)
 }
 
-exception Infeasible of string
+(** [of_execution ~disks job x] costs a flight log.  Every round
+    counts its {e attempted} transfers — a failed attempt held its
+    streams for the whole round — so rounds, [per_round], [wall_time]
+    and [max_streams] agree with {!Trace.capture_execution}'s chart;
+    [items_moved] counts completed transfers only.  Utilization is
+    relative to the disks' nominal constraints. *)
+val of_execution :
+  disks:Disk.t array -> Cluster.job -> Migration.Certify.execution -> report
 
-(** [execute cluster job sched] mutates [cluster]'s placement.
-    @raise Infeasible when a round violates a transfer constraint or
-    moves an item from a disk that does not hold it. *)
-val execute : Cluster.t -> Cluster.job -> Migration.Schedule.t -> report
-
-(** [run cluster ~target ~plan] — the full loop: diff placements, plan
-    with [plan], execute, and verify the target was reached (asserted
-    internally).  Returns the report. *)
+(** [run ~policy cluster ~target] plans the placement diff and executes
+    it through {!Migration.Engine.run} under [policy]; [rng], [jobs]
+    and [choose] are passed through to the engine ([choose] defaults to
+    {!Migration.Pipeline.auto_choose}; see
+    {!Migration.choose_of_algorithm}).  The cluster moves by exactly
+    the completed transfers, so it reaches [target] unless the policy
+    quarantined something.  Replay the outcome's execution through
+    {!Migration.Certify.certify_execution} to audit the run.
+    @raise Migration.Engine.Plan_rejected when a plan fails its
+    certification (an infeasible schedule never touches the cluster). *)
 val run :
+  ?rng:Random.State.t ->
+  ?jobs:int ->
+  ?choose:(Migration.Instance.t -> Migration.Solver.t) ->
+  policy:Migration.Engine.policy ->
   Cluster.t ->
   target:Placement.t ->
-  plan:(Migration.Instance.t -> Migration.Schedule.t) ->
-  report
+  Migration.Engine.outcome * report
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,4 +1,5 @@
-(** Umbrella module for the storage-cluster simulator. *)
+(** Umbrella module for the storage-cluster simulator: cost models and
+    fault policies over {!Migration.Engine}'s flight log. *)
 
 module Disk = Disk
 module Network = Network
@@ -8,6 +9,5 @@ module Bandwidth = Bandwidth
 module Simulator = Simulator
 module Fault = Fault
 module Async_exec = Async_exec
-module Online = Online
 module Size_balance = Size_balance
 module Trace = Trace

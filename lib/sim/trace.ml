@@ -39,6 +39,7 @@ let capture_execution ~disks ?sizes (job : Cluster.job)
 
 let n_rounds t = Array.length t.counts
 let n_disks t = Array.length t.caps
+let durations t = Array.copy t.durations
 
 let streams t ~round ~disk =
   if round < 0 || round >= n_rounds t then invalid_arg "Trace.streams";

@@ -29,6 +29,9 @@ val capture_execution :
 val n_rounds : t -> int
 val n_disks : t -> int
 
+(** Per-round durations under the bandwidth-splitting model. *)
+val durations : t -> float array
+
 (** [streams t ~round ~disk]. *)
 val streams : t -> round:int -> disk:int -> int
 

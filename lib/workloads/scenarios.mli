@@ -4,7 +4,8 @@
     placement for the "after" state — the three operational stories the
     paper's introduction motivates: demand-driven rebalancing, disk
     additions, and disk removals/decommissioning.  Feed the result to
-    {!Storsim.Simulator.run} with a planner of your choice. *)
+    {!Storsim.Simulator.run} with a planner and fault policy of your
+    choice. *)
 
 type t = {
   name : string;

@@ -1,5 +1,6 @@
 (* Tests for the storage simulator: Disk, Placement, Cluster,
-   Bandwidth (the Figure 2 cost model), Simulator, Fault. *)
+   Bandwidth (the Figure 2 cost model), Simulator and Fault over the
+   execution engine, and online request streams served by Service. *)
 
 module S = Storsim
 module M = Migration
@@ -112,6 +113,27 @@ let test_fig2_parallel () =
   Alcotest.(check (float 1e-9)) "2M time" (float_of_int (2 * m))
     (S.Bandwidth.schedule_duration ~disks job s)
 
+(* Figure 2 through the execution path: a cluster whose placement diff
+   is the triangle stack, migrated fault-free by Simulator.run *)
+let test_fig2_simulated () =
+  let m = 5 in
+  let ends = Mgraph.Multigraph.endpoints (Mgraph.Graph_gen.triangle_stack m) in
+  List.iter
+    (fun (cap, rounds, wall) ->
+      let c =
+        mk_cluster ~caps:[| cap; cap; cap |]
+          (S.Placement.create ~n_items:(3 * m) (fun e -> fst (ends e)))
+      in
+      let target = S.Placement.create ~n_items:(3 * m) (fun e -> snd (ends e)) in
+      let _, r =
+        S.Simulator.run ~rng:(rng ()) ~policy:M.Engine.no_faults c ~target
+      in
+      Alcotest.(check int) (Printf.sprintf "c=%d rounds" cap) rounds
+        r.S.Simulator.rounds;
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "c=%d wall" cap) wall
+        r.S.Simulator.wall_time)
+    [ (1, 3 * m, float_of_int (3 * m)); (2, m, float_of_int (2 * m)) ]
+
 let test_round_duration_cases () =
   let disks = Array.init 4 (fun id -> S.Disk.make ~id ~cap:4 ()) in
   Alcotest.(check (float 1e-9)) "empty round" 0.0
@@ -135,57 +157,108 @@ let test_round_duration_cases () =
     (S.Bandwidth.round_duration ~disks:disks2 ~transfers:[ (0, 1) ] ())
 
 (* ------------------------------------------------------------------ *)
-(* Simulator *)
+(* Simulator: placement diff -> Engine.run -> completed transfers *)
+
+let random_cluster rng ~n_disks ~n_items =
+  let caps = Array.init n_disks (fun i -> 1 + (i mod 4)) in
+  let before =
+    S.Placement.create ~n_items (fun _ -> Random.State.int rng n_disks)
+  in
+  let target =
+    S.Placement.create ~n_items (fun _ -> Random.State.int rng n_disks)
+  in
+  let disks = Array.mapi (fun id cap -> S.Disk.make ~id ~cap ()) caps in
+  (S.Cluster.create ~disks ~placement:before, before, target)
+
+let cluster_gen =
+  QCheck2.Gen.(
+    let* seed = int_bound 100_000 in
+    let* n_disks = int_range 3 10 in
+    let* n_items = int_range 1 60 in
+    return (seed, n_disks, n_items))
 
 let simulator_reaches_target =
-  qtest "simulator: run reaches the target placement" ~count:40
-    QCheck2.Gen.(
-      let* seed = int_bound 100_000 in
-      let* n_disks = int_range 3 10 in
-      let* n_items = int_range 1 60 in
-      return (seed, n_disks, n_items))
+  qtest "simulator: run reaches the target placement" ~count:40 cluster_gen
     (fun (seed, n_disks, n_items) ->
       let rng = rng_of_int seed in
-      let caps = Array.init n_disks (fun i -> 1 + (i mod 4)) in
-      let before =
-        S.Placement.create ~n_items (fun _ -> Random.State.int rng n_disks)
+      let c, before, target = random_cluster rng ~n_disks ~n_items in
+      let _, report =
+        S.Simulator.run ~rng ~policy:M.Engine.no_faults c ~target
       in
-      let target =
-        S.Placement.create ~n_items (fun _ -> Random.State.int rng n_disks)
-      in
-      let disks = Array.mapi (fun id cap -> S.Disk.make ~id ~cap ()) caps in
-      let c = S.Cluster.create ~disks ~placement:before in
-      let report = S.Simulator.run c ~target ~plan:(M.plan ~rng M.Auto) in
       S.Cluster.reached c ~target
       && report.S.Simulator.items_moved
          = List.length (S.Placement.diff before target))
 
+(* under faults the report is a fold over the flight log: it agrees
+   with the chart of the same log, counts completed transfers only,
+   and the cluster holds every item where its last transfer left it *)
+let simulator_fault_fold =
+  qtest "simulator: report folds the flight log under faults" ~count:40
+    cluster_gen
+    (fun (seed, n_disks, n_items) ->
+      let rng = rng_of_int seed in
+      let c, _, target = random_cluster rng ~n_disks ~n_items in
+      let job = S.Cluster.plan_reconfiguration c ~target in
+      let crashes, slowdowns =
+        S.Fault.random_calamities rng ~n_disks ~horizon:4 ~crashes:(seed mod 2)
+          ~slowdowns:1
+      in
+      let policy =
+        S.Fault.engine_policy ~fault_rate:(float_of_int (seed mod 5) /. 10.0)
+          ~crashes ~slowdowns ~seed ()
+      in
+      let o, report = S.Simulator.run ~rng ~policy c ~target in
+      let x = o.M.Engine.execution in
+      let t = S.Trace.capture_execution ~disks:(S.Cluster.disks c) job x in
+      let quarantined = Array.make (Array.length job.S.Cluster.items) false in
+      List.iter (fun (e, _) -> quarantined.(e) <- true) o.M.Engine.quarantined;
+      M.Certify.exec_ok (M.Certify.certify_execution x)
+      && report.S.Simulator.rounds = S.Trace.n_rounds t
+      && Float.abs
+           (report.S.Simulator.wall_time
+           -. Array.fold_left ( +. ) 0.0 (S.Trace.durations t))
+         < 1e-9
+      && report.S.Simulator.items_moved = o.M.Engine.completed
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun e item ->
+                S.Placement.disk_of (S.Cluster.placement c) item
+                = (if quarantined.(e) then job.S.Cluster.sources.(e)
+                   else job.S.Cluster.targets.(e)))
+              job.S.Cluster.items))
+
+(* a planner that packs every transfer into one round: the engine's
+   certification rejects the plan before any transfer runs *)
 let test_simulator_infeasible_detected () =
   let before = S.Placement.of_array [| 0; 0 |] in
   let target = S.Placement.of_array [| 1; 1 |] in
   let c = mk_cluster ~caps:[| 1; 1 |] before in
-  let job = S.Cluster.plan_reconfiguration c ~target in
-  (* both transfers in one round exceed c = 1 at both disks *)
-  let bad = M.Schedule.of_rounds [| [ 0; 1 ] |] in
-  (try
-     ignore (S.Simulator.execute c job bad);
-     Alcotest.fail "expected Infeasible"
-   with S.Simulator.Infeasible _ -> ());
-  (* a schedule moving an item from the wrong disk must also fail:
-     item 0 moves twice *)
-  let job2 =
-    { job with S.Cluster.sources = [| 1; 0 |] (* claims item 0 is on 1 *) }
+  let one_round =
+    {
+      M.Solver.greedy with
+      M.Solver.name = "one-round";
+      solve =
+        (fun _ inst ->
+          M.Schedule.of_rounds [| List.init (M.Instance.n_items inst) Fun.id |]);
+    }
   in
-  try
-    ignore (S.Simulator.execute c job2 (M.Schedule.of_rounds [| [ 0 ]; [ 1 ] |]));
-    Alcotest.fail "expected Infeasible for wrong source"
-  with S.Simulator.Infeasible _ -> ()
+  (match
+     S.Simulator.run ~choose:(fun _ -> one_round) ~policy:M.Engine.no_faults c
+       ~target
+   with
+  | _ -> Alcotest.fail "expected Plan_rejected"
+  | exception M.Engine.Plan_rejected _ -> ());
+  Alcotest.(check bool) "cluster untouched" true
+    (S.Placement.equal (S.Cluster.placement c) before)
 
 let test_simulator_report () =
   let before = S.Placement.of_array [| 0; 0; 1 |] in
   let target = S.Placement.of_array [| 1; 2; 1 |] in
   let c = mk_cluster before in
-  let report = S.Simulator.run c ~target ~plan:(M.plan M.Greedy) in
+  let _, report =
+    S.Simulator.run ~choose:(M.choose_of_algorithm M.Greedy)
+      ~policy:M.Engine.no_faults c ~target
+  in
   Alcotest.(check int) "moved" 2 report.S.Simulator.items_moved;
   Alcotest.(check bool) "positive time" true (report.S.Simulator.wall_time > 0.0);
   Alcotest.(check bool) "utilization sane" true
@@ -193,49 +266,52 @@ let test_simulator_report () =
     && report.S.Simulator.mean_utilization <= 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* Fault *)
+(* Fault: capability changes land mid-flight through the engine *)
+
+let run_with_slowdowns sc slowdowns =
+  S.Simulator.run ~rng:(rng ())
+    ~policy:(S.Fault.engine_policy ~slowdowns ~seed:1 ())
+    sc.Workloads.Scenarios.cluster ~target:sc.Workloads.Scenarios.target
+
+let reached sc =
+  S.Cluster.reached sc.Workloads.Scenarios.cluster
+    ~target:sc.Workloads.Scenarios.target
 
 let test_fault_degrade () =
-  let rng = rng () in
   let sc =
-    Workloads.Scenarios.rebalance rng ~n_disks:8 ~n_items:200 ~caps:[ 2; 4 ] ()
+    Workloads.Scenarios.rebalance (rng ()) ~n_disks:8 ~n_items:200
+      ~caps:[ 2; 4 ] ()
   in
-  let target = sc.Workloads.Scenarios.target in
-  let cluster = sc.Workloads.Scenarios.cluster in
-  let rep =
-    S.Fault.run_with_change cluster ~target ~plan:(M.plan ~rng M.Auto)
-      { S.Fault.after_round = 2; disk = 1; new_cap = 1 }
-  in
-  Alcotest.(check bool) "reached" true (S.Cluster.reached cluster ~target);
-  Alcotest.(check bool) "rounds add up" true
-    (rep.S.Fault.total_rounds
-    = rep.S.Fault.before.S.Simulator.rounds
-      + rep.S.Fault.after.S.Simulator.rounds)
+  let o, report = run_with_slowdowns sc [ (2, 1) ] in
+  Alcotest.(check bool) "reached" true (reached sc);
+  Alcotest.(check (list (pair int int))) "disk 1 halved" [ (1, 2) ]
+    o.M.Engine.degraded;
+  Alcotest.(check int) "rounds add up" o.M.Engine.total_rounds
+    (report.S.Simulator.rounds + o.M.Engine.idle_rounds)
 
 let test_fault_immediate () =
-  (* change before anything ran: everything is replanned *)
-  let rng = rng () in
+  (* the change lands in the very first round: every later plan runs
+     under the degraded constraint *)
   let sc =
-    Workloads.Scenarios.rebalance rng ~n_disks:6 ~n_items:100 ~caps:[ 3 ] ()
+    Workloads.Scenarios.rebalance (rng ()) ~n_disks:6 ~n_items:100 ~caps:[ 3 ] ()
   in
-  let rep =
-    S.Fault.run_with_change sc.Workloads.Scenarios.cluster
-      ~target:sc.Workloads.Scenarios.target ~plan:(M.plan ~rng M.Auto)
-      { S.Fault.after_round = 0; disk = 0; new_cap = 1 }
-  in
-  Alcotest.(check int) "nothing before" 0 rep.S.Fault.before.S.Simulator.rounds
+  let o, _ = run_with_slowdowns sc [ (0, 0) ] in
+  Alcotest.(check bool) "reached" true (reached sc);
+  match o.M.Engine.execution.M.Certify.log with
+  | first :: _ ->
+      Alcotest.(check (list (pair int int))) "slowed in round 0" [ (0, 1) ]
+        first.M.Certify.slowed
+  | [] -> Alcotest.fail "nothing executed"
 
 let test_fault_guards () =
-  let rng = rng () in
+  (* a constraint never drops below 1, however many slowdowns land *)
   let sc =
-    Workloads.Scenarios.rebalance rng ~n_disks:4 ~n_items:20 ~caps:[ 2 ] ()
+    Workloads.Scenarios.rebalance (rng ()) ~n_disks:4 ~n_items:20 ~caps:[ 2 ] ()
   in
-  Alcotest.check_raises "cap 0" (Invalid_argument "Fault: capacity must stay >= 1")
-    (fun () ->
-      ignore
-        (S.Fault.run_with_change sc.Workloads.Scenarios.cluster
-           ~target:sc.Workloads.Scenarios.target ~plan:(M.plan M.Greedy)
-           { S.Fault.after_round = 0; disk = 0; new_cap = 0 }))
+  let o, _ = run_with_slowdowns sc (List.init 6 (fun r -> (r, 0))) in
+  Alcotest.(check bool) "reached" true (reached sc);
+  Alcotest.(check (list (pair int int))) "floored at 1" [ (0, 1) ]
+    o.M.Engine.degraded
 
 (* ------------------------------------------------------------------ *)
 (* Engine fault policies *)
@@ -561,116 +637,79 @@ let test_size_balance_concentrates () =
     (M.Schedule.validate job.S.Cluster.instance sched' = Ok ())
 
 (* ------------------------------------------------------------------ *)
-(* Online *)
+(* Online: request streams served by Service *)
+
+let serve ?(caps = [| 2; 2; 2 |]) placement requests =
+  Service.run ~rng_seed:1
+    {
+      Service.caps;
+      placement;
+      demands = Array.make (Array.length placement) 1.0;
+    }
+    ~requests:
+      (List.map
+         (fun (at, moves) ->
+           { Service.at; tenant = 0; trigger = Service.Retarget moves })
+         requests)
+    ()
+
+let final r = r.Service.execution.M.Certify.svc_final
+let latency r i = List.assoc i r.Service.latencies
 
 let test_online_single_request () =
-  let before = S.Placement.of_array [| 0; 0; 1 |] in
-  let c = mk_cluster before in
-  let report =
-    S.Online.run c
-      ~requests:[ { S.Online.at_round = 0; moves = [ (0, 2); (2, 0) ] } ]
-      ~plan:(M.plan M.Greedy)
-  in
-  Alcotest.(check int) "one replan" 1 report.S.Online.replans;
-  Alcotest.(check int) "moved" 2 report.S.Online.items_moved;
-  Alcotest.(check int) "item 0 at 2" 2
-    (S.Placement.disk_of (S.Cluster.placement c) 0);
-  Alcotest.(check bool) "real work has latency >= 1" true
-    (report.S.Online.latencies.(0) >= 1)
+  let r = serve [| 0; 0; 1 |] [ (0, [ (0, 2); (2, 0) ]) ] in
+  Alcotest.(check int) "one epoch" 1 r.Service.epochs;
+  Alcotest.(check int) "moved" 2 r.Service.transfers;
+  Alcotest.(check int) "item 0 at 2" 2 (final r).(0);
+  Alcotest.(check bool) "real work has latency >= 1" true (latency r 0 >= 1)
 
 let test_online_supersession () =
   (* a later request retargets the same item; the earlier one counts as
      satisfied once superseded *)
-  let before = S.Placement.of_array [| 0 |] in
-  let c = mk_cluster ~caps:[| 1; 1; 1 |] before in
-  let report =
-    S.Online.run c
-      ~requests:
-        [
-          { S.Online.at_round = 0; moves = [ (0, 1) ] };
-          { S.Online.at_round = 1; moves = [ (0, 2) ] };
-        ]
-      ~plan:(M.plan M.Greedy)
-  in
-  Alcotest.(check int) "final placement" 2
-    (S.Placement.disk_of (S.Cluster.placement c) 0);
-  Alcotest.(check int) "two latencies" 2
-    (Array.length report.S.Online.latencies)
+  let r = serve ~caps:[| 1; 1; 1 |] [| 0 |] [ (0, [ (0, 1) ]); (1, [ (0, 2) ]) ] in
+  Alcotest.(check int) "final placement" 2 (final r).(0);
+  Alcotest.(check int) "two latencies" 2 (List.length r.Service.latencies)
 
 let test_online_guards () =
-  let c = mk_cluster (S.Placement.of_array [| 0 |]) in
-  Alcotest.check_raises "unsorted"
-    (Invalid_argument "Online.run: requests must be sorted by at_round")
-    (fun () ->
-      ignore
-        (S.Online.run c
-           ~requests:
-             [
-               { S.Online.at_round = 3; moves = [] };
-               { S.Online.at_round = 1; moves = [] };
-             ]
-           ~plan:(M.plan M.Greedy)))
+  (* admission control rejects bad item and disk ids instead of
+     raising; arrivals need not be sorted *)
+  let r = serve [| 0 |] [ (3, [ (0, 1) ]); (1, [ (5, 0) ]); (0, [ (0, 9) ]) ] in
+  let rejected i =
+    match r.Service.statuses.(i) with
+    | M.Certify.Sreq_rejected _ -> true
+    | _ -> false
+  in
+  Alcotest.(check (list bool)) "statuses" [ false; true; true ]
+    (List.init 3 rejected);
+  Alcotest.(check int) "valid request served" 1 (final r).(0)
 
 let test_online_beyond_horizon () =
-  (* a request arriving after all earlier work has drained must extend
-     the run: idle time fast-forwards to its arrival and the move still
-     executes *)
-  let before = S.Placement.of_array [| 0; 1 |] in
-  let c = mk_cluster before in
-  let report =
-    S.Online.run c
-      ~requests:
-        [
-          { S.Online.at_round = 0; moves = [ (0, 1) ] };
-          { S.Online.at_round = 50; moves = [ (1, 2) ] };
-        ]
-      ~plan:(M.plan M.Greedy)
-  in
-  Alcotest.(check int) "run extended past the horizon" 51
-    report.S.Online.rounds;
-  Alcotest.(check int) "late move executed" 2
-    (S.Placement.disk_of (S.Cluster.placement c) 1);
-  Alcotest.(check int) "two replans (work drained between)" 2
-    report.S.Online.replans
+  (* a request arriving after all earlier work has drained extends the
+     run: idle time fast-forwards to its arrival *)
+  let r = serve [| 0; 1 |] [ (0, [ (0, 1) ]); (50, [ (1, 2) ]) ] in
+  Alcotest.(check bool) "run extended past the horizon" true
+    (r.Service.total_rounds > 50);
+  Alcotest.(check int) "late move executed" 2 (final r).(1);
+  Alcotest.(check int) "two epochs (work drained between)" 2 r.Service.epochs
 
 let test_online_equal_rounds_merge () =
-  (* equal [at_round] is legal (sortedness is non-strict) and both
-     requests absorb into one epoch: a single replan serves them *)
-  let before = S.Placement.of_array [| 0; 0 |] in
-  let c = mk_cluster before in
-  let report =
-    S.Online.run c
-      ~requests:
-        [
-          { S.Online.at_round = 2; moves = [ (0, 1) ] };
-          { S.Online.at_round = 2; moves = [ (1, 2) ] };
-        ]
-      ~plan:(M.plan M.Greedy)
-  in
-  Alcotest.(check int) "one merged replan" 1 report.S.Online.replans;
-  Alcotest.(check int) "both moves in effect" 1
-    (S.Placement.disk_of (S.Cluster.placement c) 0);
-  Alcotest.(check int) "both moves in effect (2)" 2
-    (S.Placement.disk_of (S.Cluster.placement c) 1)
+  (* equal arrival rounds absorb into one epoch: a single plan serves
+     both requests *)
+  let r = serve [| 0; 0 |] [ (2, [ (0, 1) ]); (2, [ (1, 2) ]) ] in
+  Alcotest.(check (list (list int))) "one epoch absorbs both" [ [ 0; 1 ] ]
+    (List.filter_map
+       (fun ep ->
+         if ep.M.Certify.se_absorbed = [] then None
+         else Some (List.sort compare ep.M.Certify.se_absorbed))
+       r.Service.execution.M.Certify.svc_epochs);
+  Alcotest.(check (array int)) "both moves in effect" [| 1; 2 |] (final r)
 
 let test_online_noop_latency_zero () =
   (* a request whose moves are already in effect settles at absorption
      with latency 0 — no phantom round *)
-  let before = S.Placement.of_array [| 2; 0 |] in
-  let c = mk_cluster before in
-  let report =
-    S.Online.run c
-      ~requests:
-        [
-          { S.Online.at_round = 0; moves = [ (1, 1) ] };
-          { S.Online.at_round = 4; moves = [ (0, 2) ] };
-        ]
-      ~plan:(M.plan M.Greedy)
-  in
-  Alcotest.(check int) "no-op settles with latency 0" 0
-    report.S.Online.latencies.(1);
-  Alcotest.(check bool) "real work still costs rounds" true
-    (report.S.Online.latencies.(0) >= 1)
+  let r = serve [| 2; 0 |] [ (0, [ (1, 1) ]); (4, [ (0, 2) ]) ] in
+  Alcotest.(check int) "no-op settles with latency 0" 0 (latency r 1);
+  Alcotest.(check bool) "real work still costs rounds" true (latency r 0 >= 1)
 
 let online_converges =
   qtest "online: random request streams converge to the final target"
@@ -680,41 +719,43 @@ let online_converges =
       let rng = rng_of_int seed in
       let n_disks = 4 + Random.State.int rng 6 in
       let n_items = 10 + Random.State.int rng 40 in
-      let caps = Array.init n_disks (fun i -> 1 + (i mod 3)) in
-      let disks = Array.mapi (fun id cap -> S.Disk.make ~id ~cap ()) caps in
-      let before =
-        S.Placement.create ~n_items (fun _ -> Random.State.int rng n_disks)
-      in
-      let c = S.Cluster.create ~disks ~placement:before in
-      let n_requests = 1 + Random.State.int rng 5 in
+      let placement = Array.init n_items (fun _ -> Random.State.int rng n_disks) in
       let requests =
-        List.init n_requests (fun k ->
-            let moves =
+        List.init
+          (1 + Random.State.int rng 5)
+          (fun k ->
+            ( 2 * k,
               List.init
                 (1 + Random.State.int rng 8)
                 (fun _ ->
-                  (Random.State.int rng n_items, Random.State.int rng n_disks))
-              (* dedupe items within one request: later entry wins *)
-              |> List.fold_left
-                   (fun acc (i, d) ->
-                     (i, d) :: List.filter (fun (j, _) -> j <> i) acc)
-                   []
-            in
-            { S.Online.at_round = 2 * k; moves })
+                  (Random.State.int rng n_items, Random.State.int rng n_disks)) ))
       in
-      (* reference: the final desired placement is the requests
-         replayed in order *)
-      let reference = S.Placement.copy before in
+      (* reference: the requests replayed in order, later moves winning *)
+      let reference = Array.copy placement in
       List.iter
-        (fun r ->
-          List.iter
-            (fun (item, target) -> S.Placement.move reference ~item ~target)
-            r.S.Online.moves)
+        (fun (_, moves) -> List.iter (fun (i, d) -> reference.(i) <- d) moves)
         requests;
-      let report = S.Online.run c ~requests ~plan:(M.plan ~rng M.Auto) in
-      S.Placement.equal (S.Cluster.placement c) reference
-      && Array.for_all (fun l -> l >= 0) report.S.Online.latencies
-      && Array.length report.S.Online.latencies = n_requests)
+      let r =
+        serve ~caps:(Array.init n_disks (fun i -> 1 + (i mod 3))) placement requests
+      in
+      final r = reference
+      && List.length r.Service.latencies = List.length requests
+      && M.Certify.service_ok (M.Certify.certify_service r.Service.execution))
+
+(* ------------------------------------------------------------------ *)
+(* Flaky transport: transient failures retried by the engine *)
+
+let flaky_run ~seed ~n_items ~fault_rate =
+  let rng = rng_of_int seed in
+  let sc =
+    Workloads.Scenarios.rebalance rng ~n_disks:8 ~n_items ~caps:[ 2; 3 ] ()
+  in
+  let o, _ =
+    S.Simulator.run ~rng
+      ~policy:(S.Fault.engine_policy ~fault_rate ~seed ())
+      sc.Workloads.Scenarios.cluster ~target:sc.Workloads.Scenarios.target
+  in
+  (sc, o)
 
 let () =
   Alcotest.run "storsim"
@@ -730,12 +771,15 @@ let () =
         [
           Alcotest.test_case "fig2 homogeneous 3M" `Quick test_fig2_homogeneous;
           Alcotest.test_case "fig2 parallel 2M" `Quick test_fig2_parallel;
+          Alcotest.test_case "fig2 through the simulator" `Quick
+            test_fig2_simulated;
           Alcotest.test_case "round duration cases" `Quick
             test_round_duration_cases;
         ] );
       ( "simulator",
         [
           simulator_reaches_target;
+          simulator_fault_fold;
           Alcotest.test_case "infeasible detected" `Quick
             test_simulator_infeasible_detected;
           Alcotest.test_case "report" `Quick test_simulator_report;
@@ -774,66 +818,28 @@ let () =
         [
           Alcotest.test_case "reaches target despite failures" `Quick
             (fun () ->
-              let rng = rng_of_int 31 in
-              let sc =
-                Workloads.Scenarios.rebalance rng ~n_disks:8 ~n_items:200
-                  ~caps:[ 2; 3 ] ()
-              in
-              let rep =
-                S.Fault.run_with_transfer_failures rng
-                  sc.Workloads.Scenarios.cluster
-                  ~target:sc.Workloads.Scenarios.target
-                  ~plan:(M.plan ~rng M.Auto)
-                  { S.Fault.failure_rate = 0.3; max_attempt_passes = 50 }
-              in
-              Alcotest.(check bool) "reached" true
-                (S.Cluster.reached sc.Workloads.Scenarios.cluster
-                   ~target:sc.Workloads.Scenarios.target);
+              let sc, o = flaky_run ~seed:31 ~n_items:200 ~fault_rate:0.3 in
+              Alcotest.(check bool) "reached" true (reached sc);
               Alcotest.(check bool) "needed retries" true
-                (rep.S.Fault.passes > 1 && rep.S.Fault.failed_transfers > 0));
+                (o.M.Engine.replans > 0 && o.M.Engine.retries > 0));
           Alcotest.test_case "zero rate needs one pass" `Quick (fun () ->
-              let rng = rng_of_int 32 in
-              let sc =
-                Workloads.Scenarios.rebalance rng ~n_disks:6 ~n_items:100 ()
-              in
-              let rep =
-                S.Fault.run_with_transfer_failures rng
-                  sc.Workloads.Scenarios.cluster
-                  ~target:sc.Workloads.Scenarios.target
-                  ~plan:(M.plan ~rng M.Auto)
-                  { S.Fault.failure_rate = 0.0; max_attempt_passes = 2 }
-              in
-              Alcotest.(check int) "one pass" 1 rep.S.Fault.passes;
-              Alcotest.(check int) "no failures" 0 rep.S.Fault.failed_transfers);
-          Alcotest.test_case "budget exhaustion raises" `Quick (fun () ->
-              let rng = rng_of_int 33 in
-              let sc =
-                Workloads.Scenarios.rebalance rng ~n_disks:6 ~n_items:150 ()
-              in
-              try
-                ignore
-                  (S.Fault.run_with_transfer_failures rng
-                     sc.Workloads.Scenarios.cluster
-                     ~target:sc.Workloads.Scenarios.target
-                     ~plan:(M.plan ~rng M.Auto)
-                     { S.Fault.failure_rate = 0.9; max_attempt_passes = 1 });
-                Alcotest.fail "expected Too_flaky"
-              with S.Fault.Too_flaky rep ->
-                Alcotest.(check int) "one pass burned" 1 rep.S.Fault.passes);
-          Alcotest.test_case "guards" `Quick (fun () ->
-              let rng = rng_of_int 34 in
-              let sc =
-                Workloads.Scenarios.rebalance rng ~n_disks:4 ~n_items:20 ()
-              in
-              Alcotest.check_raises "bad rate"
-                (Invalid_argument "Fault: failure_rate must be in [0, 1)")
-                (fun () ->
-                  ignore
-                    (S.Fault.run_with_transfer_failures rng
-                       sc.Workloads.Scenarios.cluster
-                       ~target:sc.Workloads.Scenarios.target
-                       ~plan:(M.plan M.Greedy)
-                       { S.Fault.failure_rate = 1.0; max_attempt_passes = 3 })));
+              let _, o = flaky_run ~seed:32 ~n_items:100 ~fault_rate:0.0 in
+              Alcotest.(check int) "no replans" 0 o.M.Engine.replans;
+              Alcotest.(check int) "no failures" 0 o.M.Engine.rounds_lost);
+          Alcotest.test_case "retry budget exhaustion quarantines" `Quick
+            (fun () ->
+              let sc, o = flaky_run ~seed:33 ~n_items:150 ~fault_rate:0.9 in
+              Alcotest.(check bool) "some quarantined" true
+                (o.M.Engine.quarantined <> []);
+              Alcotest.(check bool) "all for exhausted retries" true
+                (List.for_all
+                   (function
+                     | _, M.Engine.Retries_exhausted _ -> true | _ -> false)
+                   o.M.Engine.quarantined);
+              Alcotest.(check bool) "not reached" false (reached sc);
+              Alcotest.(check bool) "execution certifies" true
+                (M.Certify.exec_ok
+                   (M.Certify.certify_execution o.M.Engine.execution)));
         ] );
       ( "sized",
         [

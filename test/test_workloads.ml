@@ -150,7 +150,9 @@ let test_incremental_fixes_hotspot () =
 
 let run_scenario (sc : W.Scenarios.t) =
   let rng = rng_of_int 77 in
-  S.Simulator.run sc.cluster ~target:sc.target ~plan:(M.plan ~rng M.Auto)
+  snd
+    (S.Simulator.run ~rng ~policy:M.Engine.no_faults sc.cluster
+       ~target:sc.target)
 
 let test_rebalance_scenario () =
   let sc = W.Scenarios.rebalance (rng_of_int 3) ~n_disks:10 ~n_items:300 () in
@@ -226,8 +228,9 @@ let scenarios_all_plannable =
               let sc = make (rng_of_int seed) in
               let rng = rng_of_int (seed + 1) in
               let report =
-                S.Simulator.run sc.W.Scenarios.cluster
-                  ~target:sc.W.Scenarios.target ~plan:(M.plan ~rng alg)
+                S.Simulator.run ~rng ~choose:(M.choose_of_algorithm alg)
+                  ~policy:M.Engine.no_faults sc.W.Scenarios.cluster
+                  ~target:sc.W.Scenarios.target
               in
               ignore report;
               S.Cluster.reached sc.W.Scenarios.cluster
