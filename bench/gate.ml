@@ -11,10 +11,10 @@
        (a planner produced a different schedule at some --jobs value —
        a determinism break, not a perf problem), or
      - the current run was taken on a machine with >= 4 recommended
-       domains and a jobs=4 run (E9's multi-component pipeline or
-       E11's intra-instance even-opt) fell below the hard speedup
-       floor — parallelism that stops paying for itself is a
-       regression even when single-job wall time holds, or
+       domains and E9's jobs=4 run of the multi-component pipeline
+       fell below the hard speedup floor — parallelism that stops
+       paying for itself is a regression even when single-job wall
+       time holds, or
      - a solver in the current run's E11 "huge" section allocated more
        than its steady-state budget (bytes per edge over a ~1e5-edge
        instance; see doc/ALGORITHMS.md "Flat core & memory
@@ -34,13 +34,12 @@ let tolerance = ref 0.25
 let min_wall = 0.05
 let speedup_floor = 1.6
 
-(* bytes allocated per edge on the huge instance, with 3-5x headroom
-   over the values measured at the budget's introduction (greedy ~200,
-   hetero ~620, even-opt ~10900) so GC/runtime drift across OCaml
-   versions cannot trip it but a rewritten kernel that allocates per
-   edge per round will *)
+(* bytes allocated per edge on the huge instance, with 3-6x headroom
+   over the measured values (greedy ~200, hetero ~620, even-opt ~4950)
+   so GC/runtime drift across OCaml versions cannot trip it but a
+   rewritten kernel that allocates per edge per round will *)
 let alloc_budgets =
-  [ ("greedy", 1024.0); ("hetero", 4096.0); ("even-opt", 32768.0) ]
+  [ ("greedy", 1024.0); ("hetero", 4096.0); ("even-opt", 15000.0) ]
 
 let read_file path =
   try
@@ -249,7 +248,6 @@ let () =
   (match section cur ~key:"huge" ~open_:'{' ~close:'}' with
   | None -> ()
   | Some body ->
-      check_floor "e11 even-opt" body;
       List.iter
         (fun (solver, budget) ->
           match bytes_per_edge body ~solver with

@@ -1100,15 +1100,11 @@ let e9_parallel () =
 
 (* ------------------------------------------------------------------ *)
 (* E27 (CLI key "e11"): flat-core scale — wall and allocation per      *)
-(* solver on the "huge" family, plus even-opt intra-instance scaling   *)
+(* solver on the "huge" family                                         *)
 
 (* stashed by e11 for the --json writer:
-   (edges,
-    solver rows (name, wall_s, rounds, bytes_per_edge),
-    even-opt runs (jobs, wall_s)) *)
-let huge_detail :
-    (int * (string * float * int * float) list * (int * float) list) option
-    ref =
+   (edges, solver rows (name, wall_s, rounds, bytes_per_edge)) *)
+let huge_detail : (int * (string * float * int * float) list) option ref =
   ref None
 
 let e11_huge () =
@@ -1137,7 +1133,7 @@ let e11_huge () =
     [
       measure "greedy" (fun () -> M.plan ~rng:(rng_of 911) M.Greedy inst);
       measure "hetero" (fun () -> M.plan ~rng:(rng_of 912) M.Hetero inst);
-      measure "even-opt" (fun () -> M.Even_optimal.schedule ~jobs:1 inst);
+      measure "even-opt" (fun () -> M.Even_optimal.schedule inst);
     ]
   in
   Printf.printf "%10s %10s %7s %12s\n" "solver" "wall (s)" "rounds"
@@ -1147,45 +1143,13 @@ let e11_huge () =
       Printf.printf "%10s %10.3f %7d %12.1f\n" name t
         (M.Schedule.n_rounds sched) bpe)
     rows;
-  (* even-opt parallel scaling within ONE instance: each round's
-     degree-constrained matching fragments into thousands of components
-     solved on the worker pool, so speedup needs no multi-component
-     instance.  jobs=1 reuses the row above as the base. *)
-  let base_sched, base_t =
-    match rows with
-    | [ _; _; (_, s, t, _) ] -> (M.Schedule.to_string s, t)
-    | _ -> assert false
-  in
-  let runs =
-    (1, base_t)
-    :: List.map
-         (fun jobs ->
-           let sched, t =
-             wall_clock (fun () -> M.Even_optimal.schedule ~jobs inst)
-           in
-           if M.Schedule.to_string sched <> base_sched then
-             failwith
-               (Printf.sprintf
-                  "e11: even-opt schedule at jobs %d differs from jobs 1" jobs);
-           (jobs, t))
-         [ 2; 4 ]
-  in
-  Printf.printf "\neven-opt scaling (schedules bit-identical; %d domains \
-                 recommended here):\n"
-    (Exec.default_jobs ());
-  Printf.printf "%6s %10s %9s\n" "jobs" "wall (s)" "speedup";
-  List.iter
-    (fun (jobs, t) ->
-      Printf.printf "%6d %10.3f %8.2fx\n" jobs t (base_t /. t))
-    runs;
   huge_detail :=
     Some
       ( m,
         List.map
           (fun (name, sched, t, bpe) ->
             (name, t, M.Schedule.n_rounds sched, bpe))
-          rows,
-        runs )
+          rows )
 
 (* ------------------------------------------------------------------ *)
 (* E12 (CLI key "serve"): the streaming service end to end — Zipf     *)
@@ -1600,7 +1564,7 @@ let write_json ~path timings =
       Buffer.add_string buf "  }");
   (match !huge_detail with
   | None -> ()
-  | Some (edges, solvers, runs) ->
+  | Some (edges, solvers) ->
       Buffer.add_string buf ",\n  \"huge\": {\n";
       Buffer.add_string buf (Printf.sprintf "    \"edges\": %d,\n" edges);
       Buffer.add_string buf "    \"solvers\": [\n";
@@ -1613,19 +1577,7 @@ let write_json ~path timings =
                name t rounds bpe
                (if i = List.length solvers - 1 then "" else ",")))
         solvers;
-      Buffer.add_string buf "    ],\n";
-      Buffer.add_string buf "    \"runs\": [\n";
-      let base_t = match runs with (1, t) :: _ -> t | _ -> 1.0 in
-      List.iteri
-        (fun i (jobs, t) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f }%s\n"
-               jobs t (base_t /. t)
-               (if i = List.length runs - 1 then "" else ",")))
-        runs;
-      Buffer.add_string buf "    ],\n";
-      Buffer.add_string buf "    \"identical_schedules\": true\n";
+      Buffer.add_string buf "    ]\n";
       Buffer.add_string buf "  }");
   (match !serve_detail with
   | None -> ()

@@ -35,7 +35,7 @@ let sides g =
   Arena.release arena qbuf;
   if !ok then Some (Array.map (fun s -> s = 1) side) else None
 
-let color ?pool g =
+let color g =
   let side =
     match sides g with
     | Some s -> s
@@ -118,7 +118,7 @@ let color ?pool g =
                    else Array.sub !edges 0 !len);
         }
       in
-      match Netflow.Bmatching.solve_exact ?pool problem with
+      match Netflow.Bmatching.solve_exact problem with
       | None ->
           (* contradicts Hall's condition on a regular bipartite graph *)
           assert false

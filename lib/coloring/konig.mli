@@ -22,10 +22,7 @@
     (including any self-loop). *)
 val sides : Mgraph.Multigraph.t -> bool array option
 
-(** [color ?pool g] — complete unit-capacity coloring with exactly
-    [max_degree g] colors (0 colors for an edgeless graph).  [pool]
-    parallelizes the per-matching flow solves across connected
-    components (see {!Netflow.Bmatching.solve_max}); the coloring is
-    bit-identical at any pool size.
+(** [color g] — complete unit-capacity coloring with exactly
+    [max_degree g] colors (0 colors for an edgeless graph).
     @raise Invalid_argument if [g] is not bipartite. *)
-val color : ?pool:Exec.pool -> Mgraph.Multigraph.t -> Edge_coloring.t
+val color : Mgraph.Multigraph.t -> Edge_coloring.t

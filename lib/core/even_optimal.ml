@@ -42,7 +42,7 @@ let padded_orientation inst delta =
    subgraphs of H extracted by max-flow (Figure 3).  Each round keeps
    the non-selected edges in reverse index order (pinned by the golden
    schedules: the next round's matching depends on it). *)
-let decompose_by_flows ?pool inst delta g' srcs dsts m =
+let decompose_by_flows inst delta g' srcs dsts m =
   let n = Instance.n_disks inst in
   let half v = Instance.cap inst v / 2 in
   let caps_half = Array.init n half in
@@ -63,7 +63,7 @@ let decompose_by_flows ?pool inst delta g' srcs dsts m =
         edges = Array.map (fun e -> (srcs.(e), dsts.(e))) edges;
       }
     in
-    match Netflow.Bmatching.solve_exact ?pool problem with
+    match Netflow.Bmatching.solve_exact problem with
     | None ->
         (* contradicts Lemma 4.1/4.2 — would be an implementation bug *)
         assert false
@@ -87,7 +87,7 @@ let decompose_by_flows ?pool inst delta g' srcs dsts m =
 (* Step 4, alternative: split each H-side of [v] into c_v/2 unit
    copies (evenly, so every copy has degree exactly delta) and
    König-color the delta-regular bipartite multigraph. *)
-let decompose_by_konig ?pool inst delta g' srcs dsts m =
+let decompose_by_konig inst delta g' srcs dsts m =
   let n = Instance.n_disks inst in
   let half = Array.init n (fun v -> Instance.cap inst v / 2) in
   let off = Split_graph.offsets half in
@@ -114,7 +114,7 @@ let decompose_by_konig ?pool inst delta g' srcs dsts m =
   (* round-robin over a degree divisible by c_v/2 gives every copy
      degree exactly delta *)
   assert (Multigraph.max_degree h = delta);
-  let coloring = Coloring.Konig.color ?pool h in
+  let coloring = Coloring.Konig.color h in
   let rounds = Array.make delta [] in
   for e = 0 to m - 1 do
     match Coloring.Edge_coloring.color_of coloring h_edge_of.(e) with
@@ -123,7 +123,7 @@ let decompose_by_konig ?pool inst delta g' srcs dsts m =
   done;
   rounds
 
-let schedule ?(method_ = `Flows) ?(jobs = 1) inst =
+let schedule ?(method_ = `Flows) inst =
   if not (Instance.all_caps_even inst) then
     invalid_arg "Even_optimal.schedule: all transfer constraints must be even";
   let g = Instance.graph inst in
@@ -134,18 +134,11 @@ let schedule ?(method_ = `Flows) ?(jobs = 1) inst =
     let g', srcs, dsts =
       Probes.time t_orient (fun () -> padded_orientation inst delta)
     in
-    let decompose pool =
+    let rounds =
       Probes.time t_decompose (fun () ->
           match method_ with
-          | `Flows -> decompose_by_flows ?pool inst delta g' srcs dsts m
-          | `Konig -> decompose_by_konig ?pool inst delta g' srcs dsts m)
-    in
-    let rounds =
-      (* the per-round matchings split into independent per-component
-         flow subproblems; a pool solves those in parallel without
-         changing a bit of the result (see Netflow.Bmatching) *)
-      if jobs <= 1 then decompose None
-      else Exec.with_pool ~jobs (fun pool -> decompose (Some pool))
+          | `Flows -> decompose_by_flows inst delta g' srcs dsts m
+          | `Konig -> decompose_by_konig inst delta g' srcs dsts m)
     in
     (* drop padding-only rounds *)
     let nonempty = Array.to_list rounds |> List.filter (fun r -> r <> []) in

@@ -26,14 +26,10 @@
     Both produce exactly [Δ̄] rounds; benchmark E14 compares their
     planning cost. *)
 
-(** [schedule ?method_ ?jobs inst] is an optimal schedule:
+(** [schedule ?method_ inst] is an optimal schedule:
     [n_rounds <= lb1 inst], with equality whenever the instance has
     items (trailing padding-only rounds are dropped).
-    Default method: [`Flows].
-
-    [jobs > 1] solves each round's independent per-component flow
-    subproblems on a worker pool (see {!Netflow.Bmatching.solve_max});
-    the schedule is bit-identical at any [jobs].
+    Default method: [`Flows].  Each round is one max-flow run on the
+    calling domain.
     @raise Invalid_argument if some [c_v] is odd. *)
-val schedule :
-  ?method_:[ `Flows | `Konig ] -> ?jobs:int -> Instance.t -> Schedule.t
+val schedule : ?method_:[ `Flows | `Konig ] -> Instance.t -> Schedule.t

@@ -39,9 +39,9 @@ let solve ?rng ?(jobs = 1) ~choose inst =
   | [ (i, _) ] ->
       (* one real component: solve the original instance monolithically
          so behavior (including RNG consumption) is identical to
-         calling the solver directly.  [jobs] passes through so a
-         solver with intra-component parallelism (even-opt's per-round
-         matchings) still gets its pool. *)
+         calling the solver directly.  [jobs] passes through for a
+         solver that parallelizes inside one component; no built-in
+         one does. *)
       let s = choose inst in
       let sched = Instr.time t_solve (fun () -> Solver.solve ?rng ~jobs s inst) in
       ( sched,

@@ -32,7 +32,7 @@ let even_opt =
     name = "even-opt";
     doc = "optimal for all-even transfer constraints (Theorem 4.1)";
     can_solve = Instance.all_caps_even;
-    solve = (fun ctx inst -> Even_optimal.schedule ~jobs:ctx.jobs inst);
+    solve = (fun _ctx inst -> Even_optimal.schedule inst);
   }
 
 let hetero =

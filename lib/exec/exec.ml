@@ -185,7 +185,3 @@ let map ?pool f xs =
          s)
       in
       if sequential then List.map f xs else parallel_map p f xs
-[@@lint.allow
-  "hotpath-deep: Exec.map's list API is the once-per-solve fan-out \
-   boundary — the sequential fallback maps the submission list once per \
-   call, never inside a kernel's per-edge loop"]

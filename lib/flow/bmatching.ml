@@ -1,5 +1,3 @@
-module Arena = Mgraph.Arena
-
 type problem = {
   n_left : int;
   n_right : int;
@@ -18,180 +16,54 @@ let check p =
     p.edges
 
 (* Network layout: 0 = source, 1 = sink, 2..2+nl-1 = left,
-   2+nl.. = right.  Edge arcs are added last, in edge order, so the
-   forward arc of edge i has id [first_edge_arc + 2*i]. *)
+   2+nl.. = right.  Edge arcs come last, in edge order, so the forward
+   arc of edge i has id [first_edge_arc + 2*i]. *)
 let build p =
-  let net = Flow_network.create ~n:(2 + p.n_left + p.n_right) in
-  let left v = 2 + v and right v = 2 + p.n_left + v in
-  for l = 0 to p.n_left - 1 do
-    ignore (Flow_network.add_arc net ~src:0 ~dst:(left l) ~cap:p.left_cap.(l))
-  done;
-  for r = 0 to p.n_right - 1 do
-    ignore (Flow_network.add_arc net ~src:(right r) ~dst:1 ~cap:p.right_cap.(r))
-  done;
-  let first = Flow_network.n_arcs net in
-  Array.iter
-    (fun (l, r) ->
-      ignore (Flow_network.add_arc net ~src:(left l) ~dst:(right r) ~cap:1))
-    p.edges;
-  (net, first)
-
-let selection p net first =
-  Array.init (Array.length p.edges) (fun i ->
-      Flow_network.flow net (first + (2 * i)) = 1)
-
-(* One monolithic Dinic run over the whole problem. *)
-let solve_joint p =
-  let net, first = build p in
-  let value = Max_flow.max_flow net ~s:0 ~t:1 in
-  (selection p net first, value)
-
-(* Component decomposition.  The flow network is the disjoint union of
-   the bipartite components glued only at source and sink, and every
-   augmenting path stays inside one component (Dinic's DFS never
-   passes through the sink mid-path).  Restricted to one component,
-   the joint run's level functions, cursor dynamics and augmentations
-   coincide with a solo run on the (order-preserving) subproblem, so
-   merging per-component selections reproduces the joint selection
-   bit for bit — which is what lets the per-round matching subproblems
-   run on worker domains without touching the schedule.  The golden
-   corpus (test/test_flatcore.ml) pins this equivalence. *)
-
-type component = {
-  lefts : int array;  (* original left indices, increasing *)
-  rights : int array;  (* original right indices, increasing *)
-  edge_idx : int array;  (* original edge indices, increasing *)
-  sub : problem;
-}
-
-let split p =
   let nl = p.n_left and nr = p.n_right in
-  let total = nl + nr in
-  let arena = Arena.local () in
-  let hparent = Arena.ints arena ~len:total ~fill:0 in
-  let parent = Arena.arr hparent in
-  for i = 0 to total - 1 do
-    parent.(i) <- i
-  done;
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  Array.iter
-    (fun (l, r) ->
-      let a = find l and b = find (nl + r) in
-      if a <> b then parent.(max a b) <- min a b)
-    p.edges;
-  (* canonical component ids, in order of first appearance *)
-  let hcomp = Arena.ints arena ~len:total ~fill:(-1) in
-  let comp = Arena.arr hcomp in
-  let k = ref 0 in
-  for i = 0 to total - 1 do
-    let root = find i in
-    if comp.(root) < 0 then begin
-      comp.(root) <- !k;
-      incr k
-    end;
-    comp.(i) <- comp.(root)
-  done;
-  let k = !k in
-  let count_l = Array.make k 0
-  and count_r = Array.make k 0
-  and count_e = Array.make k 0 in
+  let k = nl + nr + Array.length p.edges in
+  let src = Array.make k 0 and dst = Array.make k 0 and cap = Array.make k 1 in
   for l = 0 to nl - 1 do
-    count_l.(comp.(l)) <- count_l.(comp.(l)) + 1
+    dst.(l) <- 2 + l;
+    cap.(l) <- p.left_cap.(l)
   done;
   for r = 0 to nr - 1 do
-    count_r.(comp.(nl + r)) <- count_r.(comp.(nl + r)) + 1
-  done;
-  Array.iter (fun (l, _) -> count_e.(comp.(l)) <- count_e.(comp.(l)) + 1) p.edges;
-  let comps =
-    Array.init k (fun c ->
-        {
-          lefts = Array.make count_l.(c) 0;
-          rights = Array.make count_r.(c) 0;
-          edge_idx = Array.make count_e.(c) 0;
-          sub =
-            {
-              n_left = count_l.(c);
-              n_right = count_r.(c);
-              left_cap = Array.make count_l.(c) 0;
-              right_cap = Array.make count_r.(c) 0;
-              edges = Array.make count_e.(c) (0, 0);
-            };
-        })
-  in
-  (* local index of each original node, monotone per component *)
-  let hloc = Arena.ints arena ~len:total ~fill:(-1) in
-  let loc = Arena.arr hloc in
-  Array.fill count_l 0 k 0;
-  Array.fill count_r 0 k 0;
-  Array.fill count_e 0 k 0;
-  for l = 0 to nl - 1 do
-    let c = comp.(l) in
-    let i = count_l.(c) in
-    count_l.(c) <- i + 1;
-    loc.(l) <- i;
-    comps.(c).lefts.(i) <- l;
-    comps.(c).sub.left_cap.(i) <- p.left_cap.(l)
-  done;
-  for r = 0 to nr - 1 do
-    let c = comp.(nl + r) in
-    let i = count_r.(c) in
-    count_r.(c) <- i + 1;
-    loc.(nl + r) <- i;
-    comps.(c).rights.(i) <- r;
-    comps.(c).sub.right_cap.(i) <- p.right_cap.(r)
+    src.(nl + r) <- 2 + nl + r;
+    dst.(nl + r) <- 1;
+    cap.(nl + r) <- p.right_cap.(r)
   done;
   Array.iteri
-    (fun e (l, r) ->
-      let c = comp.(l) in
-      let i = count_e.(c) in
-      count_e.(c) <- i + 1;
-      comps.(c).edge_idx.(i) <- e;
-      comps.(c).sub.edges.(i) <- (loc.(l), loc.(nl + r)))
+    (fun i (l, r) ->
+      src.(nl + nr + i) <- 2 + l;
+      dst.(nl + nr + i) <- 2 + nl + r)
     p.edges;
-  Arena.release arena hloc;
-  Arena.release arena hcomp;
-  Arena.release arena hparent;
-  comps
+  (Flow_network.of_arcs ~n:(2 + nl + nr) ~src ~dst ~cap, 2 * (nl + nr))
 
-let c_components = Probes.counter "bmatch.components"
-
-let solve_max ?pool p =
+(* One Dinic run over the whole problem, even when the bipartite graph
+   falls apart into many components.  The network is then their
+   disjoint union glued only at source and sink, and every augmenting
+   path stays inside one component (Dinic's DFS never passes through
+   the sink mid-path).  Restricted to one component, the joint run's
+   level functions, cursor dynamics and augmentations coincide with a
+   solo run on the (order-preserving) subproblem, so the joint
+   selection equals the merged per-component selections bit for bit.
+   test/test_flow.ml pins this as a property. *)
+let solve_max p =
   check p;
-  let comps = split p in
-  Probes.bump ~by:(Array.length comps) c_components;
-  let active =
-    Array.to_list comps
-    |> (List.filter [@lint.allow
-         "hotpath: once per solve over the component list (Exec.map \
-          consumes a list), not per edge — the per-edge work is in \
-          solve_joint's arrays"]) (fun c -> Array.length c.edge_idx > 0)
+  let net, first = build p in
+  let value = Max_flow.max_flow net ~s:0 ~t:1 in
+  let sel =
+    Array.init (Array.length p.edges) (fun i ->
+        Flow_network.flow net (first + (2 * i)) = 1)
   in
-  match active with
-  | [] -> (Array.make (Array.length p.edges) false, 0)
-  | [ c ] when Array.length c.edge_idx = Array.length p.edges ->
-      solve_joint p
-  | _ ->
-      let solved =
-        Exec.map ?pool (fun c -> (c, solve_joint c.sub)) active
-      in
-      let sel = Array.make (Array.length p.edges) false in
-      let value = ref 0 in
-      (List.iter [@lint.allow
-        "hotpath: merges per-component selections once per solve; the \
-         inner Array.iteri does the per-edge writes"])
-        (fun (c, (sub_sel, sub_value)) ->
-          value := !value + sub_value;
-          Array.iteri (fun i e -> sel.(e) <- sub_sel.(i)) c.edge_idx)
-        solved;
-      (sel, !value)
+  (sel, value)
 
-let solve_exact ?pool p =
+let solve_exact p =
   check p;
   let sum a = Array.fold_left ( + ) 0 a in
   let target = sum p.left_cap in
   if target <> sum p.right_cap then None
   else
-    let sel, value = solve_max ?pool p in
+    let sel, value = solve_max p in
     if value = target then Some sel else None
 
 let degrees p sel =

@@ -20,19 +20,18 @@ type problem = {
 (** Largest subgraph respecting both capacity vectors.  Returns the
     selection mask (indexed like [edges]) and its size.
 
-    The problem is decomposed into connected components of the
-    bipartite graph and each component is solved independently —
-    on [pool]'s worker domains when one is given, inline otherwise.
-    Augmenting paths never cross components, so the merged selection
-    is bit-identical to a monolithic solve at any [pool] size; the
-    golden corpus pins this. *)
-val solve_max : ?pool:Exec.pool -> problem -> bool array * int
+    One max-flow run covers the whole problem, however many connected
+    components the bipartite graph has.  Augmenting paths never cross
+    components, so each component's part of the selection is exactly
+    what solving that component alone (edges in the same relative
+    order) would select. *)
+val solve_max : problem -> bool array * int
 
 (** A subgraph in which every left node [l] has degree exactly
     [left_cap.(l)] and every right node [r] exactly [right_cap.(r)];
     [None] if no such subgraph exists (requires
-    [sum left_cap = sum right_cap]).  [pool] as in {!solve_max}. *)
-val solve_exact : ?pool:Exec.pool -> problem -> bool array option
+    [sum left_cap = sum right_cap]). *)
+val solve_exact : problem -> bool array option
 
 (** Degrees induced by a selection mask; exposed for tests. *)
 val degrees : problem -> bool array -> int array * int array

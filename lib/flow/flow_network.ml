@@ -1,26 +1,27 @@
 type adj = { offsets : int array; arc_ids : int array }
 
+(* Plain arrays indexed by arc id, not [Mgraph.Vec]s: [of_arcs] fills
+   them without a bounds-checked call per write.  Only ids below
+   [n_arcs] are live; the tail is growth room for [add_arc]. *)
 type t = {
   mutable n : int;
-  dsts : int Mgraph.Vec.t;          (* per arc *)
-  caps : int Mgraph.Vec.t;          (* residual capacity, mutated by push *)
-  caps0 : int Mgraph.Vec.t;         (* original capacity, for reset *)
-  mutable adj : int Mgraph.Vec.t array;  (* outgoing arc ids per node *)
-  srcs : int Mgraph.Vec.t;          (* per arc *)
-  mutable frozen : adj option;      (* flat adjacency cache, see freeze *)
+  mutable n_arcs : int;
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable caps : int array;  (* residual capacity, mutated by push *)
+  mutable caps0 : int array;  (* original capacity, for reset *)
+  mutable frozen : adj option;  (* flat adjacency cache, see freeze *)
 }
-
-module Vec = Mgraph.Vec
 
 let create ~n =
   if n < 0 then invalid_arg "Flow_network.create";
   {
     n;
-    dsts = Vec.create ~dummy:(-1) ();
-    caps = Vec.create ~dummy:0 ();
-    caps0 = Vec.create ~dummy:0 ();
-    adj = Array.init (max n 1) (fun _ -> Vec.create ~dummy:(-1) ());
-    srcs = Vec.create ~dummy:(-1) ();
+    n_arcs = 0;
+    srcs = [||];
+    dsts = [||];
+    caps = [||];
+    caps0 = [||];
     frozen = None;
   }
 
@@ -30,80 +31,123 @@ let add_node net =
   let id = net.n in
   net.n <- net.n + 1;
   net.frozen <- None;
-  let cap = Array.length net.adj in
-  if net.n > cap then begin
-    let adj =
-      Array.init (max (2 * cap) net.n) (fun i ->
-          if i < cap then net.adj.(i) else Vec.create ~dummy:(-1) ())
-    in
-    net.adj <- adj
-  end;
   id
 
 let check_node net v = if v < 0 || v >= net.n then invalid_arg "Flow_network: bad node"
 
-let add_half net ~src ~dst ~cap =
-  let a = Vec.length net.dsts in
-  ignore (Vec.push net.dsts dst);
-  ignore (Vec.push net.srcs src);
-  ignore (Vec.push net.caps cap);
-  ignore (Vec.push net.caps0 cap);
-  ignore (Vec.push net.adj.(src) a);
-  a
+let check_cap fn cap =
+  if cap < 0 then invalid_arg (fn ^ ": negative capacity")
+
+(* forward arc [a] and its residual reverse [a + 1] *)
+let set_pair net a ~src ~dst ~cap =
+  net.srcs.(a) <- src;
+  net.dsts.(a) <- dst;
+  net.caps.(a) <- cap;
+  net.caps0.(a) <- cap;
+  net.srcs.(a + 1) <- dst;
+  net.dsts.(a + 1) <- src;
+  net.caps.(a + 1) <- 0;
+  net.caps0.(a + 1) <- 0
 
 let add_arc net ~src ~dst ~cap =
   check_node net src;
   check_node net dst;
-  if cap < 0 then invalid_arg "Flow_network.add_arc: negative capacity";
-  let a = add_half net ~src ~dst ~cap in
-  ignore (add_half net ~src:dst ~dst:src ~cap:0);
+  check_cap "Flow_network.add_arc" cap;
+  let a = net.n_arcs in
+  if a + 2 > Array.length net.dsts then begin
+    let size = max 16 (2 * Array.length net.dsts) in
+    let grow arr =
+      let b = Array.make size 0 in
+      Array.blit arr 0 b 0 a;
+      b
+    in
+    net.srcs <- grow net.srcs;
+    net.dsts <- grow net.dsts;
+    net.caps <- grow net.caps;
+    net.caps0 <- grow net.caps0
+  end;
+  set_pair net a ~src ~dst ~cap;
+  net.n_arcs <- a + 2;
   net.frozen <- None;
   a
 
-let n_arcs net = Vec.length net.dsts
-let src net a = Vec.get net.srcs a
-let dst net a = Vec.get net.dsts a
-let residual net a = Vec.get net.caps a
-let flow net a = Vec.get net.caps (a lxor 1)
+let of_arcs ~n ~src ~dst ~cap =
+  let k = Array.length src in
+  if Array.length dst <> k || Array.length cap <> k then
+    invalid_arg "Flow_network.of_arcs: length mismatch";
+  let net = create ~n in
+  net.srcs <- Array.make (2 * k) 0;
+  net.dsts <- Array.make (2 * k) 0;
+  net.caps <- Array.make (2 * k) 0;
+  net.caps0 <- Array.make (2 * k) 0;
+  for i = 0 to k - 1 do
+    check_node net src.(i);
+    check_node net dst.(i);
+    check_cap "Flow_network.of_arcs" cap.(i);
+    set_pair net (2 * i) ~src:src.(i) ~dst:dst.(i) ~cap:cap.(i)
+  done;
+  net.n_arcs <- 2 * k;
+  net
+
+let n_arcs net = net.n_arcs
+
+let check_arc net a =
+  if a < 0 || a >= net.n_arcs then invalid_arg "Flow_network: bad arc"
+
+let src net a =
+  check_arc net a;
+  net.srcs.(a)
+
+let dst net a =
+  check_arc net a;
+  net.dsts.(a)
+
+let residual net a =
+  check_arc net a;
+  net.caps.(a)
+
+let flow net a =
+  check_arc net a;
+  net.caps.(a lxor 1)
 
 let push net a x =
   let r = residual net a in
   if x < 0 || x > r then invalid_arg "Flow_network.push";
-  Vec.set net.caps a (r - x);
-  Vec.set net.caps (a lxor 1) (Vec.get net.caps (a lxor 1) + x)
+  net.caps.(a) <- r - x;
+  net.caps.(a lxor 1) <- net.caps.(a lxor 1) + x
 
-let out_arcs net v =
-  check_node net v;
-  Vec.to_array net.adj.(v)
-
-(* Arc ids per row appear in insertion order, matching [out_arcs]. *)
+(* A counting sort of the arcs by source.  The placing pass walks arc
+   ids upward, so each row lists its arcs in insertion order. *)
 let freeze net =
   match net.frozen with
   | Some a -> a
   | None ->
-      let n = net.n in
-      let offsets = Array.make (n + 1) 0 in
-      let total = ref 0 in
-      for v = 0 to n - 1 do
-        offsets.(v) <- !total;
-        total := !total + Vec.length net.adj.(v)
+      let n = net.n and m = net.n_arcs and srcs = net.srcs in
+      let offsets = Array.make (n + 1) 0 and arc_ids = Array.make m 0 in
+      for a = 0 to m - 1 do
+        offsets.(srcs.(a) + 1) <- offsets.(srcs.(a) + 1) + 1
       done;
-      offsets.(n) <- !total;
-      let arc_ids = Array.make !total (-1) in
-      for v = 0 to n - 1 do
-        let row = net.adj.(v) in
-        let base = offsets.(v) in
-        for k = 0 to Vec.length row - 1 do
-          arc_ids.(base + k) <- Vec.get row k
-        done
+      for v = 1 to n do
+        offsets.(v) <- offsets.(v) + offsets.(v - 1)
       done;
+      (* offsets.(v) is the start of row v: use it as the row's fill
+         cursor, which leaves it at the row's end; shift back after *)
+      for a = 0 to m - 1 do
+        arc_ids.(offsets.(srcs.(a))) <- a;
+        offsets.(srcs.(a)) <- offsets.(srcs.(a)) + 1
+      done;
+      for v = n downto 1 do
+        offsets.(v) <- offsets.(v - 1)
+      done;
+      offsets.(0) <- 0;
       let a = { offsets; arc_ids } in
       net.frozen <- Some a;
       a
 
-let raw net = (Vec.unsafe_data net.dsts, Vec.unsafe_data net.caps)
+let out_arcs net v =
+  check_node net v;
+  let { offsets; arc_ids } = freeze net in
+  Array.sub arc_ids offsets.(v) (offsets.(v + 1) - offsets.(v))
 
-let reset net =
-  for a = 0 to n_arcs net - 1 do
-    Vec.set net.caps a (Vec.get net.caps0 a)
-  done
+let raw net = (net.dsts, net.caps)
+let reset net = Array.blit net.caps0 0 net.caps 0 net.n_arcs

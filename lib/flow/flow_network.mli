@@ -17,6 +17,16 @@ val add_node : t -> int
     @raise Invalid_argument on a negative capacity or bad endpoint. *)
 val add_arc : t -> src:int -> dst:int -> cap:int -> int
 
+(** [of_arcs ~n ~src ~dst ~cap] is the network on [n] nodes with one
+    forward arc per index [i] of the three arrays, built in one pass
+    into exact-size arrays.  It equals [create ~n] followed by
+    [add_arc ~src:src.(i) ~dst:dst.(i) ~cap:cap.(i)] for [i] upward:
+    the same arc ids ([2i] forward, [2i + 1] its reverse) and the same
+    {!out_arcs} rows.
+    @raise Invalid_argument on arrays of unequal length, a negative
+    capacity or a bad endpoint. *)
+val of_arcs : n:int -> src:int array -> dst:int array -> cap:int array -> t
+
 val n_arcs : t -> int
 (** Counts both forward and residual arcs (always even). *)
 
@@ -35,7 +45,8 @@ val flow : t -> int -> int
     @raise Invalid_argument if [x] exceeds the residual. *)
 val push : t -> int -> int -> unit
 
-(** Arc ids leaving a node (forward and residual alike). *)
+(** Arc ids leaving a node (forward and residual alike), in increasing
+    id order. *)
 val out_arcs : t -> int -> int array
 
 (** Flat adjacency: row [v] is
@@ -43,8 +54,9 @@ val out_arcs : t -> int -> int array
     order {!out_arcs} returns.  [offsets] has length [n+1]. *)
 type adj = { offsets : int array; arc_ids : int array }
 
-(** The flat adjacency view, built once and cached; {!add_arc} and
-    {!add_node} drop the cache.  The arrays must not be written. *)
+(** The flat adjacency view, built once by a counting sort of the arcs
+    by source and cached; {!add_arc} and {!add_node} drop the cache.
+    The arrays must not be written. *)
 val freeze : t -> adj
 
 (** [(dsts, caps)] backing arrays for hot kernels: index by arc id,

@@ -32,7 +32,48 @@ let test_network_errors () =
       ignore (Fn.add_arc net ~src:0 ~dst:1 ~cap:(-1)));
   let a = Fn.add_arc net ~src:0 ~dst:1 ~cap:2 in
   Alcotest.check_raises "overpush" (Invalid_argument "Flow_network.push")
-    (fun () -> Fn.push net a 3)
+    (fun () -> Fn.push net a 3);
+  Alcotest.check_raises "bulk length mismatch"
+    (Invalid_argument "Flow_network.of_arcs: length mismatch") (fun () ->
+      ignore (Fn.of_arcs ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~cap:[||]));
+  Alcotest.check_raises "bulk negative cap"
+    (Invalid_argument "Flow_network.of_arcs: negative capacity") (fun () ->
+      ignore (Fn.of_arcs ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~cap:[| -1 |]));
+  Alcotest.check_raises "bulk bad node"
+    (Invalid_argument "Flow_network: bad node") (fun () ->
+      ignore (Fn.of_arcs ~n:2 ~src:[| 0 |] ~dst:[| 2 |] ~cap:[| 1 |]))
+
+(* The bulk constructor is add_arc in a loop, only faster: same arc
+   ids, same rows (each in increasing arc-id order, i.e. insertion
+   order), and so the same flow arc by arc. *)
+let of_arcs_equals_add_arc =
+  qtest "network: of_arcs builds what add_arc builds" ~count:200
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = rng_of_int seed in
+      let n = 2 + Random.State.int rng 8 and k = Random.State.int rng 30 in
+      let node _ = Random.State.int rng n in
+      let src = Array.init k node and dst = Array.init k node in
+      let cap = Array.init k (fun _ -> Random.State.int rng 5) in
+      let bulk = Fn.of_arcs ~n ~src ~dst ~cap and looped = Fn.create ~n in
+      Array.iteri
+        (fun i s ->
+          ignore (Fn.add_arc looped ~src:s ~dst:dst.(i) ~cap:cap.(i)))
+        src;
+      let view net =
+        ( List.init n (Fn.out_arcs net),
+          List.init (Fn.n_arcs net) (fun a ->
+              (Fn.src net a, Fn.dst net a, Fn.residual net a)) )
+      in
+      let flows net = List.init k (fun i -> Fn.flow net (2 * i)) in
+      let increasing row =
+        Array.for_all Fun.id
+          (Array.mapi (fun j a -> j = 0 || row.(j - 1) < a) row)
+      in
+      List.for_all increasing (fst (view bulk))
+      && view bulk = view looped
+      && Mf.max_flow bulk ~s:0 ~t:(n - 1) = Mf.max_flow looped ~s:0 ~t:(n - 1)
+      && flows bulk = flows looped)
 
 (* ------------------------------------------------------------------ *)
 (* Max_flow on known networks *)
@@ -170,6 +211,78 @@ let test_bmatching_errors () =
     (Invalid_argument "Bmatching: capacity vector length mismatch") (fun () ->
       ignore (Bm.solve_max p))
 
+(* A random interleaving of [0 .. na-1] and [0 .. nb-1] into
+   [0 .. na+nb-1] that keeps each side's order: the positions the two
+   sides' elements take. *)
+let interleave rng na nb =
+  let pa = Array.make na 0 and pb = Array.make nb 0 in
+  let ia = ref 0 and ib = ref 0 in
+  for i = 0 to na + nb - 1 do
+    if !ib = nb || (!ia < na && Random.State.bool rng) then begin
+      pa.(!ia) <- i;
+      incr ia
+    end
+    else begin
+      pb.(!ib) <- i;
+      incr ib
+    end
+  done;
+  (pa, pb)
+
+let random_problem rng =
+  let n_left = 1 + Random.State.int rng 6
+  and n_right = 1 + Random.State.int rng 6 in
+  let caps k = Array.init k (fun _ -> Random.State.int rng 4) in
+  {
+    Bm.n_left;
+    n_right;
+    left_cap = caps n_left;
+    right_cap = caps n_right;
+    edges =
+      Array.init (Random.State.int rng 16) (fun _ ->
+          (Random.State.int rng n_left, Random.State.int rng n_right));
+  }
+
+(* Why one joint flow per round is enough: on the disjoint union of two
+   problems, nodes and edges interleaved but each part's order kept,
+   the selection restricted to a part is exactly that part's solo
+   selection. *)
+let component_locality =
+  qtest "bmatching: a disjoint union selects what each part selects alone"
+    ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = rng_of_int seed in
+      let a = random_problem rng and b = random_problem rng in
+      let la, lb = interleave rng a.Bm.n_left b.Bm.n_left in
+      let ra, rb = interleave rng a.Bm.n_right b.Bm.n_right in
+      let ea, eb =
+        interleave rng (Array.length a.Bm.edges) (Array.length b.Bm.edges)
+      in
+      let union =
+        {
+          Bm.n_left = a.n_left + b.n_left;
+          n_right = a.n_right + b.n_right;
+          left_cap = Array.make (a.n_left + b.n_left) 0;
+          right_cap = Array.make (a.n_right + b.n_right) 0;
+          edges = Array.make (Array.length ea + Array.length eb) (0, 0);
+        }
+      in
+      let place p lmap rmap emap =
+        Array.iteri (fun l c -> union.left_cap.(lmap.(l)) <- c) p.Bm.left_cap;
+        Array.iteri (fun r c -> union.right_cap.(rmap.(r)) <- c) p.Bm.right_cap;
+        Array.iteri
+          (fun i (l, r) -> union.edges.(emap.(i)) <- (lmap.(l), rmap.(r)))
+          p.Bm.edges
+      in
+      place a la ra ea;
+      place b lb rb eb;
+      let sel, value = Bm.solve_max union in
+      let sel_a, value_a = Bm.solve_max a and sel_b, value_b = Bm.solve_max b in
+      value = value_a + value_b
+      && Array.for_all2 (fun i s -> sel.(i) = s) ea sel_a
+      && Array.for_all2 (fun i s -> sel.(i) = s) eb sel_b)
+
 (* Regular bipartite multigraphs always admit an exact c-matching
    (this is the feasibility fact behind the paper's Lemma 4.1). *)
 let bmatching_regular_feasible =
@@ -217,6 +330,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_network_basic;
           Alcotest.test_case "errors" `Quick test_network_errors;
+          of_arcs_equals_add_arc;
         ] );
       ( "max_flow",
         [
@@ -231,6 +345,7 @@ let () =
           Alcotest.test_case "exact small" `Quick test_bmatching_exact_small;
           Alcotest.test_case "max" `Quick test_bmatching_max;
           Alcotest.test_case "errors" `Quick test_bmatching_errors;
+          component_locality;
           bmatching_regular_feasible;
         ] );
     ]

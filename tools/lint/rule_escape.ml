@@ -5,7 +5,7 @@
    binding, shared or not.  This rule is the precise replacement: a
    module-level mutable is only a race candidate when it *escapes*
    into code that actually runs on worker domains — a closure passed
-   to [Exec.map], [Exec.with_pool], or [Even_optimal.schedule].
+   to [Exec.map] or [Exec.with_pool].
 
    Concretely: every application of a parallel sink is located in the
    call graph; the value references inside its argument expressions
@@ -27,7 +27,6 @@ let rule = "domain-escape"
 let sink_name = function
   | [ "Exec"; "map" ] -> Some "Exec.map"
   | [ "Exec"; "with_pool" ] -> Some "Exec.with_pool"
-  | [ "Migration__Even_optimal"; "schedule" ] -> Some "Even_optimal.schedule"
   | _ -> None
 
 let guard_ref (r : Callgraph.reference) =

@@ -7,10 +7,10 @@
    allocation budget the perf gate enforces (bench/gate.ml) is blown.
 
    Any [List.*] or [Hashtbl.*] reference in these files is flagged.
-   Cold paths through the same modules (list-returning public APIs,
-   once-per-solve component fan-out) do exist; those sites carry an
-   explicit [@lint.allow "hotpath: reason"] stating why the use is off
-   the per-edge path.  The point is that reaching for a list in these
+   Cold paths through the same modules (list-returning public APIs)
+   do exist; those sites carry an explicit
+   [@lint.allow "hotpath: reason"] stating why the use is off the
+   per-edge path.  The point is that reaching for a list in these
    files is a reviewed decision, not a default. *)
 
 let rule = "hotpath"

@@ -35,11 +35,8 @@ let allowed =
     ("probes", []);
     ("mgraph", []);
     ("exec", [ "probes" ]);
-    (* exec is parallel infrastructure (a domain pool), not an upper
-       layer: the flow/coloring kernels take an optional pool to solve
-       independent per-component subproblems concurrently *)
-    ("netflow", [ "mgraph"; "probes"; "exec" ]);
-    ("coloring", [ "mgraph"; "netflow"; "probes"; "exec" ]);
+    ("netflow", [ "mgraph"; "probes" ]);
+    ("coloring", [ "mgraph"; "netflow"; "probes" ]);
     ("migration", [ "mgraph"; "netflow"; "coloring"; "probes"; "exec" ]);
     ( "gen",
       [ "mgraph"; "netflow"; "coloring"; "probes"; "exec"; "migration" ] );
