@@ -167,6 +167,9 @@ let of_string s =
           edges 0 rest;
           create g ~caps:(Array.of_list caps)
       | Some weights ->
+          (* m comes from the header: check it against the input before
+             allocating from it *)
+          if m > List.length rest / 3 then fail "fewer edges than declared";
           let groups = Array.make m 0 in
           let rec edges k = function
             | [] -> if k <> m then fail "fewer edges than declared"

@@ -18,15 +18,24 @@ type conn = {
   rbuf : Buffer.t;  (* raw bytes, possibly a partial frame at the tail *)
   mutable lines : string list;  (* complete frames, oldest first *)
   mutable eof : bool;
+  mutable closed : bool;
+      (* set by [close] alone: a read also sets [eof], and the fd must
+         still be closed after that *)
 }
 
-let of_fd fd = { fd; rbuf = Buffer.create 256; lines = []; eof = false }
+let of_fd fd =
+  { fd; rbuf = Buffer.create 256; lines = []; eof = false; closed = false }
+
 let fd c = c.fd
 
+(* Close the fd once.  A second [Unix.close] of the same number could
+   hit an unrelated descriptor the kernel has since handed out again. *)
 let close c =
   c.eof <- true;
-  try Unix.close c.fd
-  with Unix.Unix_error (_, _, _) -> ()
+  if not c.closed then begin
+    c.closed <- true;
+    try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
+  end
 
 let send c msg =
   let line = Message.encode msg ^ "\n" in

@@ -217,8 +217,15 @@ let coordinator_main ?kill ~workers ~seed ~state_dir ~round_timeout_s inst =
   let conn_of w =
     match conns.(w) with Some c -> c | None -> assert false
   in
-  let respawn w =
+  (* A closed connection leaves [conns] at once: the next [spawn]'s
+     child closes every [Some] entry, and a closed entry's fd number may
+     by then belong to that child's own socketpair end. *)
+  let drop w =
     (match conns.(w) with Some c -> Net.close c | None -> ());
+    conns.(w) <- None
+  in
+  let respawn w =
+    drop w;
     if pids.(w) > 0 then ignore (waitpid_retry pids.(w));
     decr respawn_budget;
     if !respawn_budget < 0 then begin
@@ -315,7 +322,7 @@ let coordinator_main ?kill ~workers ~seed ~state_dir ~round_timeout_s inst =
        in
        collect ()
      with Net.Closed -> ());
-    (match conns.(w) with Some c -> Net.close c | None -> ());
+    drop w;
     if pids.(w) > 0 then ignore (waitpid_retry pids.(w))
   done;
   let oc = open_out (metrics_path state_dir) in

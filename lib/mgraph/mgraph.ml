@@ -2,7 +2,6 @@
 
 module Vec = Vec
 module Arena = Arena
-module Heap = Heap
 module Stats = Stats
 module Multigraph = Multigraph
 module Traversal = Traversal

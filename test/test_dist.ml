@@ -401,10 +401,94 @@ let test_runner_guards () =
       ignore (D.Runner.run ~workers:0 ~seed:1 ~state_dir:"/nonexistent" inst))
 
 (* ------------------------------------------------------------------ *)
-(* randomized battery: family x kill schedule x worker count *)
+(* exhaustive battery: every single kill at every round, 1-3 workers *)
 
 let qcheck_families = [ "uniform"; "powerlaw"; "even"; "unit"; "parallel";
                         "bottleneck"; "multipool" ]
+
+(* Drive [inst] to completion under [kill], resuming after coordinator
+   kills (specs are one-shot, so resumes drop them): the converged
+   flight log's bytes when the certifier passes it, else why not. *)
+let converged_log ?kill ~workers ~seed inst =
+  with_state_dir @@ fun state_dir ->
+  let rec go attempts kill =
+    if attempts > 10 then Error "no convergence in 10 resumes"
+    else
+      match D.Runner.run ?kill ~workers ~seed ~state_dir inst with
+      | Error msg -> Error msg
+      | Ok (D.Runner.Interrupted _) -> go (attempts + 1) None
+      | Ok (D.Runner.Completed o) ->
+          if M.Certify.exec_ok (M.Certify.certify_execution o.D.Runner.execution)
+          then Ok (M.Certify.execution_to_string o.D.Runner.execution)
+          else Error "flight log failed certification"
+  in
+  go 0 kill
+
+(* every kill of one run: each worker point against each worker and
+   each coordinator point, at every round, the last one included *)
+let every_kill ~workers ~n_rounds =
+  let open D.Runner in
+  List.concat_map
+    (fun kill_round ->
+      List.concat_map
+        (fun kill_point ->
+          let roles =
+            match kill_point with
+            | Coord_pre_commit | Coord_post_commit -> [ `Coordinator ]
+            | Worker_pre_round | Worker_mid_round | Worker_post_report ->
+                List.init workers (fun w -> `Worker w)
+          in
+          List.map (fun kill_role -> { kill_role; kill_point; kill_round }) roles)
+        [ Worker_pre_round; Worker_mid_round; Worker_post_report;
+          Coord_pre_commit; Coord_post_commit ])
+    (List.init n_rounds Fun.id)
+
+let describe_kill { D.Runner.kill_role; kill_point; kill_round } =
+  Printf.sprintf "%s %s at round %d"
+    (match kill_role with
+    | `Coordinator -> "coordinator"
+    | `Worker w -> Printf.sprintf "worker %d" w)
+    (D.Runner.kill_point_to_string kill_point)
+    kill_round
+
+let test_every_kill family () =
+  let seed = 1 in
+  let inst = gen_inst ~size:4 ~family ~seed () in
+  let expected = Ok (M.Certify.execution_to_string (reference inst ~seed)) in
+  let n_rounds = ref_rounds inst ~seed in
+  List.iter
+    (fun workers ->
+      List.iter
+        (fun kill ->
+          let got = converged_log ~kill ~workers ~seed inst in
+          if got <> expected then
+            Alcotest.failf "%s seed %d, %d workers, %s: %s" family seed workers
+              (describe_kill kill)
+              (match got with
+              | Error msg -> msg
+              | Ok _ -> "flight log differs from the in-process engine"))
+        (every_kill ~workers ~n_rounds))
+    [ 1; 2; 3 ]
+
+(* The schedule that exposed a closed connection left in the runner's
+   table: the last worker dies after reporting the last round, so the
+   farewell loop has closed the others' descriptors when it is
+   respawned, and the kernel hands their numbers to the new socketpair. *)
+let test_last_round_reproducer () =
+  let seed = 3862 in
+  let inst = gen_inst ~size:6 ~family:"even" ~seed () in
+  Alcotest.(check int) "round 3 is the last" 4 (ref_rounds inst ~seed);
+  let kill =
+    {
+      D.Runner.kill_role = `Worker 2;
+      kill_point = D.Runner.Worker_post_report;
+      kill_round = 3;
+    }
+  in
+  ignore (check_converged ~kill ~workers:3 ~seed inst)
+
+(* ------------------------------------------------------------------ *)
+(* randomized battery: family x kill schedule x worker count *)
 
 let crash_schedule_gen =
   QCheck2.Gen.(
@@ -439,19 +523,8 @@ let prop_crash_recovery (fam_idx, iseed, workers, (kind, victim, round)) =
             { D.Runner.kill_role = `Coordinator;
               kill_point = D.Runner.Coord_post_commit; kill_round })
   in
-  with_state_dir @@ fun state_dir ->
-  let rec go attempts kill =
-    if attempts > 10 then false
-    else
-      match D.Runner.run ?kill ~workers ~seed:iseed ~state_dir inst with
-      | Error _ -> false
-      | Ok (D.Runner.Interrupted _) -> go (attempts + 1) None
-      | Ok (D.Runner.Completed o) ->
-          M.Certify.exec_ok (M.Certify.certify_execution o.D.Runner.execution)
-          && M.Certify.execution_to_string o.D.Runner.execution
-             = M.Certify.execution_to_string (reference inst ~seed:iseed)
-  in
-  go 0 kill
+  converged_log ?kill ~workers ~seed:iseed inst
+  = Ok (M.Certify.execution_to_string (reference inst ~seed:iseed))
 
 let crash_recovery_random =
   qtest "crash recovery: random family x kill schedule x workers" ~count:200
@@ -501,5 +574,12 @@ let () =
             test_worker_count_invariance;
           Alcotest.test_case "guards" `Quick test_runner_guards;
         ] );
+      ( "every-kill",
+        Alcotest.test_case "last-round post-report reproducer" `Quick
+          test_last_round_reproducer
+        :: List.map
+             (fun family ->
+               Alcotest.test_case family `Quick (test_every_kill family))
+             qcheck_families );
       ("random", [ crash_recovery_random ]);
     ]

@@ -371,53 +371,6 @@ let test_io_dot () =
     (String.length dot > 10 && String.sub dot 0 9 = "graph tri")
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Mgraph.Heap.create ~leq:( <= ) () in
-  Alcotest.(check bool) "empty" true (Mgraph.Heap.is_empty h);
-  List.iter (Mgraph.Heap.push h) [ 5; 1; 4; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Mgraph.Heap.length h);
-  Alcotest.(check int) "peek" 1 (Mgraph.Heap.peek h);
-  Alcotest.(check (list int)) "drain sorted" [ 1; 1; 2; 4; 5; 9 ]
-    (Mgraph.Heap.drain h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
-    (fun () -> ignore (Mgraph.Heap.pop h))
-
-let test_heap_max_order () =
-  let h = Mgraph.Heap.of_list ~leq:( >= ) [ 3; 7; 2 ] in
-  Alcotest.(check (list int)) "max-heap drain" [ 7; 3; 2 ] (Mgraph.Heap.drain h)
-
-let heap_sorts =
-  qtest "heap: drain equals List.sort"
-    QCheck2.Gen.(list (int_bound 10_000))
-    (fun xs ->
-      Mgraph.Heap.drain (Mgraph.Heap.of_list ~leq:( <= ) xs)
-      = List.sort compare xs)
-
-let heap_interleaved =
-  qtest "heap: interleaved push/pop maintains order" ~count:60
-    QCheck2.Gen.(list (pair bool (int_bound 1000)))
-    (fun ops ->
-      let h = Mgraph.Heap.create ~leq:( <= ) () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_pop, x) ->
-          if is_pop then
-            match (Mgraph.Heap.pop_opt h, !model) with
-            | None, [] -> true
-            | Some y, m :: rest ->
-                model := rest;
-                y = m
-            | _ -> false
-          else begin
-            Mgraph.Heap.push h x;
-            model := List.sort compare (x :: !model);
-            true
-          end)
-        ops)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats_hand () =
@@ -496,13 +449,6 @@ let () =
           io_roundtrip;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "dot" `Quick test_io_dot;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "max order" `Quick test_heap_max_order;
-          heap_sorts;
-          heap_interleaved;
         ] );
       ( "stats",
         [

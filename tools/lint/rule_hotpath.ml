@@ -4,7 +4,8 @@
    steady-state loops run once per edge per round over ~1e6-edge
    instances, so they must iterate the CSR adjacency with arena
    scratch — no boxed [List] chains, no [Hashtbl] probes — or the
-   allocation budget the perf gate enforces (bench/gate.ml) is blown.
+   allocation budget bench experiment E27 asserts (bench/main.ml) is
+   blown.
 
    Any [List.*] or [Hashtbl.*] reference in these files is flagged.
    Cold paths through the same modules (list-returning public APIs)

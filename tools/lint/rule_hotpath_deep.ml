@@ -5,7 +5,7 @@
    directly in the seven kernel files.  That stops at the file
    boundary: a kernel calling a helper in another module that builds a
    list per edge passes the syntactic rule and still blows the
-   allocation budget the perf gate measures.  This rule follows the
+   allocation budget bench E27 asserts.  This rule follows the
    calls: starting from the exported values of the kernel units, every
    transitively reachable lib/ def is scanned for List/Hashtbl
    references, and each unreviewed one is a finding carrying the
