@@ -69,27 +69,26 @@ let color g =
     for i = 0 to !ri - 1 do
       ridx.(right.(i)) <- i
     done;
-    (* Padded edge array, canonically ordered: dummies first in reverse
-       creation order, then real edges in reverse id order.  (The order
-       is pinned by the golden schedules: each round's matching depends
-       on it.)  Real edges keep their graph ids in [ids]; dummies get
-       [-1]. *)
+    (* Padded edge arrays, canonically ordered: dummies first in
+       reverse creation order, then real edges in reverse id order.
+       (The order is pinned by the golden schedules: each round's
+       matching depends on it.)  Real edges keep their graph ids in
+       [ids]; dummies get [-1]. *)
     let m = Multigraph.n_edges g in
     let padded = size * delta in
     let n_dummy = padded - m in
-    let edges = Array.make (max padded 1) (0, 0) in
-    let ids = Array.make (max padded 1) (-1) in
+    let el = Array.make padded 0 and er = Array.make padded 0 in
+    let ids = Array.make padded (-1) in
+    let ldeg = Array.make size 0 and rdeg = Array.make size 0 in
     Multigraph.iter_edges g (fun { Multigraph.id; u; v } ->
         let l, r = if side.(u) then (v, u) else (u, v) in
+        let l = lidx.(l) and r = ridx.(r) in
         let i = padded - 1 - id in
-        edges.(i) <- (lidx.(l), ridx.(r));
-        ids.(i) <- id);
-    let ldeg = Array.make size 0 and rdeg = Array.make size 0 in
-    for i = n_dummy to padded - 1 do
-      let l, r = edges.(i) in
-      ldeg.(l) <- ldeg.(l) + 1;
-      rdeg.(r) <- rdeg.(r) + 1
-    done;
+        el.(i) <- l;
+        er.(i) <- r;
+        ids.(i) <- id;
+        ldeg.(l) <- ldeg.(l) + 1;
+        rdeg.(r) <- rdeg.(r) + 1);
     (* dummy edges joining under-full nodes until delta-regular *)
     let lpos = ref 0 and rpos = ref 0 in
     for k = 0 to n_dummy - 1 do
@@ -99,48 +98,29 @@ let color g =
       while rdeg.(!rpos) >= delta do
         incr rpos
       done;
-      edges.(n_dummy - 1 - k) <- (!lpos, !rpos);
+      el.(n_dummy - 1 - k) <- !lpos;
+      er.(n_dummy - 1 - k) <- !rpos;
       ldeg.(!lpos) <- ldeg.(!lpos) + 1;
       rdeg.(!rpos) <- rdeg.(!rpos) + 1
     done;
-    (* delta successive perfect matchings; each round keeps the
-       non-selected edges in reverse index order (again pinned) *)
-    let edges = ref edges and ids = ref ids and len = ref padded in
-    for c = 0 to delta - 1 do
-      let caps = Array.make size 1 in
-      let problem =
-        {
-          Netflow.Bmatching.n_left = size;
-          n_right = size;
-          left_cap = caps;
-          right_cap = caps;
-          edges = (if !len = Array.length !edges then !edges
-                   else Array.sub !edges 0 !len);
-        }
-      in
-      match Netflow.Bmatching.solve_exact problem with
-      | None ->
-          (* contradicts Hall's condition on a regular bipartite graph *)
-          assert false
-      | Some sel ->
-          let kept = ref 0 in
-          Array.iter (fun b -> if not b then incr kept) sel;
-          let next_edges = Array.make (max !kept 1) (0, 0) in
-          let next_ids = Array.make (max !kept 1) (-1) in
-          let j = ref 0 in
-          for i = !len - 1 downto 0 do
-            if sel.(i) then begin
-              if !ids.(i) >= 0 then Edge_coloring.assign t !ids.(i) c
-            end
-            else begin
-              next_edges.(!j) <- !edges.(i);
-              next_ids.(!j) <- !ids.(i);
-              incr j
-            end
-          done;
-          edges := next_edges;
-          ids := next_ids;
-          len := !kept
-    done
+    (* delta successive perfect matchings; the i-th colours its real
+       edges with colour i *)
+    let ones = Array.make size 1 in
+    let problem =
+      {
+        Netflow.Bmatching.n_left = size;
+        n_right = size;
+        left_cap = ones;
+        right_cap = ones;
+        edge_left = el;
+        edge_right = er;
+      }
+    in
+    let exact =
+      Netflow.Bmatching.peel problem ~rounds:delta (fun c i ->
+          if ids.(i) >= 0 then Edge_coloring.assign t ids.(i) c)
+    in
+    (* Hall's condition on a regular bipartite graph *)
+    assert exact
   end;
   t

@@ -39,49 +39,31 @@ let padded_orientation inst delta =
   (g', srcs, dsts)
 
 (* Step 4, the paper's version: delta successive exact c_v/2-degree
-   subgraphs of H extracted by max-flow (Figure 3).  Each round keeps
-   the non-selected edges in reverse index order (pinned by the golden
-   schedules: the next round's matching depends on it). *)
-let decompose_by_flows inst delta g' srcs dsts m =
+   subgraphs of H extracted by max-flow (Figure 3), all over one
+   network.  [Bmatching.peel] fixes the edge order of every round after
+   the first (pinned by the golden schedules); each round's list is
+   built in that order, reversed. *)
+let decompose_by_flows inst delta srcs dsts m =
   let n = Instance.n_disks inst in
-  let half v = Instance.cap inst v / 2 in
-  let caps_half = Array.init n half in
-  let m' = Multigraph.n_edges g' in
-  let remaining = Array.init m' Fun.id in
-  let len = ref m' in
+  let half = Array.init n (fun v -> Instance.cap inst v / 2) in
+  let problem =
+    {
+      Netflow.Bmatching.n_left = n;
+      n_right = n;
+      left_cap = half;
+      right_cap = half;
+      edge_left = srcs;
+      edge_right = dsts;
+    }
+  in
   let rounds = Array.make delta [] in
-  for r = 0 to delta - 1 do
-    (* a copy: the reverse-order compaction below writes back into
-       [remaining] while this round's indices are still being read *)
-    let edges = Array.sub remaining 0 !len in
-    let problem =
-      {
-        Netflow.Bmatching.n_left = n;
-        n_right = n;
-        left_cap = caps_half;
-        right_cap = caps_half;
-        edges = Array.map (fun e -> (srcs.(e), dsts.(e))) edges;
-      }
-    in
-    match Netflow.Bmatching.solve_exact problem with
-    | None ->
-        (* contradicts Lemma 4.1/4.2 — would be an implementation bug *)
-        assert false
-    | Some sel ->
-        for i = 0 to !len - 1 do
-          let e = edges.(i) in
-          if sel.(i) && e < m then rounds.(r) <- e :: rounds.(r)
-        done;
-        let j = ref 0 in
-        for i = !len - 1 downto 0 do
-          if not sel.(i) then begin
-            remaining.(!j) <- edges.(i);
-            incr j
-          end
-        done;
-        len := !j
-  done;
-  assert (!len = 0);
+  let exact =
+    Netflow.Bmatching.peel problem ~rounds:delta (fun r e ->
+        if e < m then rounds.(r) <- e :: rounds.(r))
+  in
+  (* Lemma 4.1/4.2: every round has an exact c_v/2-matching; each takes
+     sum_v c_v/2 edges, so delta of them use up all of H *)
+  assert exact;
   rounds
 
 (* Step 4, alternative: split each H-side of [v] into c_v/2 unit
@@ -137,7 +119,7 @@ let schedule ?(method_ = `Flows) inst =
     let rounds =
       Probes.time t_decompose (fun () ->
           match method_ with
-          | `Flows -> decompose_by_flows inst delta g' srcs dsts m
+          | `Flows -> decompose_by_flows inst delta srcs dsts m
           | `Konig -> decompose_by_konig inst delta g' srcs dsts m)
     in
     (* drop padding-only rounds *)

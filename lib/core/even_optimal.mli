@@ -23,13 +23,15 @@
       so each split node has degree exactly [Δ̄]) and König-color the
       resulting [Δ̄]-regular bipartite multigraph with [Δ̄] colors.
 
-    Both produce exactly [Δ̄] rounds; benchmark E14 compares their
-    planning cost. *)
+    Both produce exactly [Δ̄] rounds; the test
+    [even_konig_matches_flows] in [test/test_migration.ml] checks
+    [`Konig] against LB1, the count [`Flows] meets.  Both extract
+    their matchings with {!Netflow.Bmatching.peel}. *)
 
 (** [schedule ?method_ inst] is an optimal schedule:
     [n_rounds <= lb1 inst], with equality whenever the instance has
     items (trailing padding-only rounds are dropped).
     Default method: [`Flows].  Each round is one max-flow run on the
-    calling domain.
+    calling domain, over one network allocated once per plan.
     @raise Invalid_argument if some [c_v] is odd. *)
 val schedule : ?method_:[ `Flows | `Konig ] -> Instance.t -> Schedule.t

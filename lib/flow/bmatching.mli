@@ -13,25 +13,42 @@ type problem = {
   n_right : int;
   left_cap : int array;   (** length [n_left] *)
   right_cap : int array;  (** length [n_right] *)
-  edges : (int * int) array;
-      (** [(l, r)] pairs; parallel pairs are distinct edges *)
+  edge_left : int array;
+      (** edge [i] joins left node [edge_left.(i)] ... *)
+  edge_right : int array;
+      (** ... to right node [edge_right.(i)]; parallel edges are
+          distinct edges *)
 }
 
 (** Largest subgraph respecting both capacity vectors.  Returns the
-    selection mask (indexed like [edges]) and its size.
+    selection mask (indexed like the edges) and its size.
 
     One max-flow run covers the whole problem, however many connected
     components the bipartite graph has.  Augmenting paths never cross
     components, so each component's part of the selection is exactly
     what solving that component alone (edges in the same relative
-    order) would select. *)
+    order) would select.
+    @raise Invalid_argument on vectors of the wrong length, an
+    endpoint out of range or a negative capacity. *)
 val solve_max : problem -> bool array * int
 
 (** A subgraph in which every left node [l] has degree exactly
     [left_cap.(l)] and every right node [r] exactly [right_cap.(r)];
     [None] if no such subgraph exists (requires
-    [sum left_cap = sum right_cap]). *)
+    [sum left_cap = sum right_cap]).  This is {!peel}'s one-round
+    case. *)
 val solve_exact : problem -> bool array option
+
+(** [peel p ~rounds f] extracts [rounds] exact b-matchings in a row,
+    each from the edges the earlier ones left, over one network
+    allocated once.  Round [r] calls [f r e] for each edge [e] it
+    selects, in the order of the edges it was given: all edges in
+    index order for round 0, and for each later round the edges the
+    round before left, in reverse order.  Returns [false], without
+    reporting that round, at the first round with no exact b-matching
+    (as {!solve_exact} returns [None]).
+    @raise Invalid_argument as {!solve_max}, or if [rounds < 0]. *)
+val peel : problem -> rounds:int -> (int -> int -> unit) -> bool
 
 (** Degrees induced by a selection mask; exposed for tests. *)
 val degrees : problem -> bool array -> int array * int array

@@ -1,8 +1,7 @@
 type adj = { offsets : int array; arc_ids : int array }
 
-(* Plain arrays indexed by arc id, not [Mgraph.Vec]s: [of_arcs] fills
-   them without a bounds-checked call per write.  Only ids below
-   [n_arcs] are live; the tail is growth room for [add_arc]. *)
+(* Plain arrays indexed by arc id.  Only ids below [n_arcs] are live;
+   the tail is growth room for [add_arc]. *)
 type t = {
   mutable n : int;
   mutable n_arcs : int;
@@ -35,24 +34,10 @@ let add_node net =
 
 let check_node net v = if v < 0 || v >= net.n then invalid_arg "Flow_network: bad node"
 
-let check_cap fn cap =
-  if cap < 0 then invalid_arg (fn ^ ": negative capacity")
-
-(* forward arc [a] and its residual reverse [a + 1] *)
-let set_pair net a ~src ~dst ~cap =
-  net.srcs.(a) <- src;
-  net.dsts.(a) <- dst;
-  net.caps.(a) <- cap;
-  net.caps0.(a) <- cap;
-  net.srcs.(a + 1) <- dst;
-  net.dsts.(a + 1) <- src;
-  net.caps.(a + 1) <- 0;
-  net.caps0.(a + 1) <- 0
-
 let add_arc net ~src ~dst ~cap =
   check_node net src;
   check_node net dst;
-  check_cap "Flow_network.add_arc" cap;
+  if cap < 0 then invalid_arg "Flow_network.add_arc: negative capacity";
   let a = net.n_arcs in
   if a + 2 > Array.length net.dsts then begin
     let size = max 16 (2 * Array.length net.dsts) in
@@ -66,28 +51,18 @@ let add_arc net ~src ~dst ~cap =
     net.caps <- grow net.caps;
     net.caps0 <- grow net.caps0
   end;
-  set_pair net a ~src ~dst ~cap;
+  (* forward arc [a] and its residual reverse [a + 1] *)
+  net.srcs.(a) <- src;
+  net.dsts.(a) <- dst;
+  net.caps.(a) <- cap;
+  net.caps0.(a) <- cap;
+  net.srcs.(a + 1) <- dst;
+  net.dsts.(a + 1) <- src;
+  net.caps.(a + 1) <- 0;
+  net.caps0.(a + 1) <- 0;
   net.n_arcs <- a + 2;
   net.frozen <- None;
   a
-
-let of_arcs ~n ~src ~dst ~cap =
-  let k = Array.length src in
-  if Array.length dst <> k || Array.length cap <> k then
-    invalid_arg "Flow_network.of_arcs: length mismatch";
-  let net = create ~n in
-  net.srcs <- Array.make (2 * k) 0;
-  net.dsts <- Array.make (2 * k) 0;
-  net.caps <- Array.make (2 * k) 0;
-  net.caps0 <- Array.make (2 * k) 0;
-  for i = 0 to k - 1 do
-    check_node net src.(i);
-    check_node net dst.(i);
-    check_cap "Flow_network.of_arcs" cap.(i);
-    set_pair net (2 * i) ~src:src.(i) ~dst:dst.(i) ~cap:cap.(i)
-  done;
-  net.n_arcs <- 2 * k;
-  net
 
 let n_arcs net = net.n_arcs
 

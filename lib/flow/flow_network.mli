@@ -17,16 +17,6 @@ val add_node : t -> int
     @raise Invalid_argument on a negative capacity or bad endpoint. *)
 val add_arc : t -> src:int -> dst:int -> cap:int -> int
 
-(** [of_arcs ~n ~src ~dst ~cap] is the network on [n] nodes with one
-    forward arc per index [i] of the three arrays, built in one pass
-    into exact-size arrays.  It equals [create ~n] followed by
-    [add_arc ~src:src.(i) ~dst:dst.(i) ~cap:cap.(i)] for [i] upward:
-    the same arc ids ([2i] forward, [2i + 1] its reverse) and the same
-    {!out_arcs} rows.
-    @raise Invalid_argument on arrays of unequal length, a negative
-    capacity or a bad endpoint. *)
-val of_arcs : n:int -> src:int array -> dst:int array -> cap:int array -> t
-
 val n_arcs : t -> int
 (** Counts both forward and residual arcs (always even). *)
 

@@ -110,7 +110,7 @@ let multipool rng ~size =
 (* Perf-scale family: [size] is interpreted quadratically so that the
    fuzz-range sizes stay cheap (size 10 -> 800 edges) while bench
    sizes reach the flat-core targets (size 112 -> ~1e5 edges,
-   size 354 -> ~1e6; experiment E11).  All-even capacities keep every
+   size 354 -> ~1e6; experiment E27).  All-even capacities keep every
    solver, even-opt included, applicable. *)
 let huge rng ~size =
   let n = max 16 (size * size) in

@@ -23,7 +23,7 @@
     - ["huge"] — perf-scale all-even [G(n, m)] with [~8*size^2] edges
       ([size] is quadratic here so fuzz-range sizes stay cheap while
       bench sizes reach [1e5..1e6] edges): the flat-core allocation
-      and wall-time regime of experiment E11.
+      and wall-time regime of experiment E27.
     - ["tenants"] — tenant-tagged [G(n, m)] with skewed group
       ownership and priority weights 1..8: the SLA-objective regime
       ({!Migration.Objective}), differential fuel for the reordering
