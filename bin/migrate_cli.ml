@@ -782,124 +782,129 @@ let broken_solver =
                (Array.sub rounds 2 (Array.length rounds - 2))));
   }
 
-(* fault-injection fuzzing: run the execution engine over every
-   generated instance and certify each execution end to end *)
-let fuzz_engine ~families ~count ~seed ~size ~jobs ~fault_rate ~metrics
-    ~metrics_json =
-  let policy ~inst:_ ~seed =
-    Storsim.Fault.engine_policy ~fault_rate ~seed ()
+(* A fuzz table: a header row, then one row of cells per entry.  A
+   column is [(name, width)]; a negative width left-aligns it. *)
+let print_table columns rows =
+  let line cells =
+    List.map2
+      (fun (_, w) cell ->
+        if w < 0 then Printf.sprintf "%-*s" (-w) cell
+        else Printf.sprintf "%*s" w cell)
+      columns cells
+    |> String.concat " " |> print_endline
   in
-  let report = Gen.Fuzz.run_engine ~size ~jobs ~policy ~families ~count ~seed () in
-  Printf.printf
-    "engine fuzz: %d families x %d instances, size %d, fault rate %g, seed %d\n\n"
-    (List.length families) count size fault_rate seed;
-  Printf.printf "%-12s %5s %9s %11s %7s %7s %6s %5s\n" "family" "runs"
-    "completed" "quarantined" "replans" "retries" "rounds" "idle";
-  List.iter
-    (fun (name, (t : Gen.Fuzz.engine_totals)) ->
-      Printf.printf "%-12s %5d %9d %11d %7d %7d %6d %5d\n" name
-        t.Gen.Fuzz.eng_instances t.Gen.Fuzz.eng_completed
-        t.Gen.Fuzz.eng_quarantined t.Gen.Fuzz.eng_replans
-        t.Gen.Fuzz.eng_retries t.Gen.Fuzz.eng_rounds
-        t.Gen.Fuzz.eng_idle_rounds)
-    report.Gen.Fuzz.eng_per_family;
-  Printf.printf "\ntotal: %d executions, all certified: %s, %d failures\n"
-    report.Gen.Fuzz.eng_totals.Gen.Fuzz.eng_instances
-    (if report.Gen.Fuzz.eng_failures = [] then "yes" else "NO")
-    (List.length report.Gen.Fuzz.eng_failures);
-  List.iter
-    (fun (f : Gen.Fuzz.engine_failure) ->
-      Printf.printf "\nFAILURE family=%s seed=%d size=%d\n" f.Gen.Fuzz.ef_family
-        f.Gen.Fuzz.ef_seed f.Gen.Fuzz.ef_size;
-      List.iter (fun m -> Printf.printf "  - %s\n" m) f.Gen.Fuzz.ef_messages;
-      Printf.printf
-        "  reproduce: migrate generate --family %s --seed %d --size %d > bad.inst\n"
-        f.Gen.Fuzz.ef_family f.Gen.Fuzz.ef_seed f.Gen.Fuzz.ef_size)
-    report.Gen.Fuzz.eng_failures;
-  report_metrics ~metrics ~metrics_json;
-  if report.Gen.Fuzz.eng_failures <> [] then exit 1
+  line (List.map fst columns);
+  List.iter line rows
 
-(* service soak fuzzing: drive the whole streaming daemon over every
-   generated instance and certify each concatenated flight log *)
-let fuzz_service ~families ~count ~seed ~size ~jobs ~fault_rate ~regress_dir
-    ~metrics ~metrics_json =
-  let drive ~inst ~seed =
-    match Service.soak ~epoch_rounds:4 ~fault_rate ~inst ~seed () with
-    | Ok (s : Service.soak_stats) ->
-        Ok
-          {
-            Gen.Fuzz.ss_epochs = s.Service.soak_epochs;
-            ss_rounds = s.Service.soak_rounds;
-            ss_transfers = s.Service.soak_transfers;
-            ss_completed = s.Service.soak_completed;
-            ss_abandoned = s.Service.soak_abandoned;
-            ss_rejected = s.Service.soak_rejected;
-          }
-    | Error msgs -> Error msgs
-  in
-  let report =
-    Gen.Fuzz.run_service ~size ~jobs ~drive ~families ~count ~seed ()
-  in
+(* A fuzz failure: its violations, the command that regenerates the
+   instance, and the shrunk reproducer, also written into the
+   regressions corpus.  test_corpus.ml replays every .inst there
+   through the planners and a fault-free service soak, and every
+   *_dist.inst through the distributed runner, so the reproducer
+   becomes a pinned test. *)
+let print_failure ~regress_dir ~replay (f : Gen.Fuzz.failure) =
+  Printf.printf "\nFAILURE family=%s seed=%d size=%d solver=%s\n"
+    f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size f.Gen.Fuzz.solver;
+  List.iter (Printf.printf "  - %s\n") f.Gen.Fuzz.messages;
   Printf.printf
-    "service fuzz: %d families x %d instances, size %d, fault rate %g, seed %d\n\n"
-    (List.length families) count size fault_rate seed;
-  Printf.printf "%-12s %6s %6s %9s %9s %9s %8s\n" "family" "epochs" "rounds"
-    "transfers" "completed" "abandoned" "rejected";
-  List.iter
-    (fun (name, (t : Gen.Fuzz.service_stats)) ->
-      Printf.printf "%-12s %6d %6d %9d %9d %9d %8d\n" name
-        t.Gen.Fuzz.ss_epochs t.Gen.Fuzz.ss_rounds t.Gen.Fuzz.ss_transfers
-        t.Gen.Fuzz.ss_completed t.Gen.Fuzz.ss_abandoned
-        t.Gen.Fuzz.ss_rejected)
-    report.Gen.Fuzz.svc_per_family;
-  Printf.printf "\ntotal: %d soaks, all certified: %s, %d failures\n"
-    report.Gen.Fuzz.svc_instances
-    (if report.Gen.Fuzz.svc_failures = [] then "yes" else "NO")
-    (List.length report.Gen.Fuzz.svc_failures);
-  let regress_dir =
-    match regress_dir with
-    | Some d -> if Sys.file_exists d then Some d else None
-    | None ->
-        if Sys.file_exists "data/regressions" then Some "data/regressions"
-        else None
-  in
-  List.iter
-    (fun (f : Gen.Fuzz.service_failure) ->
-      Printf.printf "\nFAILURE family=%s seed=%d size=%d\n" f.Gen.Fuzz.sf_family
-        f.Gen.Fuzz.sf_seed f.Gen.Fuzz.sf_size;
-      List.iter (fun m -> Printf.printf "  - %s\n" m) f.Gen.Fuzz.sf_messages;
-      Printf.printf
-        "  reproduce: migrate generate --family %s --seed %d --size %d > bad.inst\n"
-        f.Gen.Fuzz.sf_family f.Gen.Fuzz.sf_seed f.Gen.Fuzz.sf_size;
-      let shrunk = f.Gen.Fuzz.sf_shrunk in
-      Printf.printf "  shrunk reproducer (%d disks, %d items):\n"
-        (Migration.Instance.n_disks shrunk)
-        (Migration.Instance.n_items shrunk);
-      String.split_on_char '\n' (Migration.Instance.to_string shrunk)
-      |> List.iter (fun line -> if line <> "" then Printf.printf "    %s\n" line);
-      match regress_dir with
-      | None -> ()
-      | Some dir ->
-          (* test_corpus.ml replays every .inst in the regressions
-             corpus through the planners AND a fault-free service soak,
-             so the shrunk reproducer becomes a pinned test *)
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s_s%d_service.inst" f.Gen.Fuzz.sf_family
-                 f.Gen.Fuzz.sf_seed)
-          in
-          let oc = open_out path in
-          output_string oc (Migration.Instance.to_string shrunk);
-          close_out oc;
-          Printf.printf "  written to %s\n" path)
-    report.Gen.Fuzz.svc_failures;
-  report_metrics ~metrics ~metrics_json;
-  if report.Gen.Fuzz.svc_failures <> [] then exit 1
+    "  reproduce: migrate generate --family %s --seed %d --size %d %s\n"
+    f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size
+    (replay f.Gen.Fuzz.solver);
+  let shrunk = f.Gen.Fuzz.shrunk in
+  Printf.printf "  shrunk reproducer (%d disks, %d items):\n"
+    (Migration.Instance.n_disks shrunk)
+    (Migration.Instance.n_items shrunk);
+  String.split_on_char '\n' (Migration.Instance.to_string shrunk)
+  |> List.iter (fun line -> if line <> "" then Printf.printf "    %s\n" line);
+  Option.iter
+    (fun dir ->
+      let path =
+        Filename.concat dir
+          (Printf.sprintf "%s_s%d_%s.inst" f.Gen.Fuzz.family f.Gen.Fuzz.seed
+             f.Gen.Fuzz.solver)
+      in
+      let oc = open_out path in
+      output_string oc (Migration.Instance.to_string shrunk);
+      close_out oc;
+      Printf.printf "  written to %s\n" path)
+    regress_dir
 
-(* distributed soak fuzzing: run the coordinator/worker runner over
-   generated instances with a random scripted kill per cell, resume
-   until converged, and require the flight log to certify AND to
-   byte-match the in-process engine's *)
+(* the differential mode: every applicable planner on every instance *)
+let fuzz_differential ~families ~count ~seed ~size ~jobs ~inject_broken =
+  if inject_broken then Migration.Solver.register broken_solver;
+  let report = Gen.Fuzz.run ~size ~jobs ~families ~count ~seed () in
+  Printf.printf "fuzz: %d families x %d instances, size %d, seed %d\n\n"
+    (List.length families) count size seed;
+  (* the gap histogram sits two spaces out *)
+  print_table
+    [
+      ("family", -12);
+      ("solver", -12);
+      ("runs", 5);
+      ("ok", 5);
+      ("max-gap", 8);
+      (" gap histogram", 0);
+    ]
+    (List.concat_map
+       (fun (fr : Gen.Fuzz.family_report) ->
+         List.map
+           (fun (s : Gen.Fuzz.solver_stats) ->
+             [
+               fr.Gen.Fuzz.family;
+               s.Gen.Fuzz.solver;
+               string_of_int s.Gen.Fuzz.runs;
+               string_of_int s.Gen.Fuzz.certified;
+               string_of_int s.Gen.Fuzz.max_gap;
+               String.concat ""
+                 (List.map
+                    (fun (g, c) -> Printf.sprintf " %d:%d" g c)
+                    s.Gen.Fuzz.gaps);
+             ])
+           fr.Gen.Fuzz.per_solver)
+       report.Gen.Fuzz.family_reports);
+  Printf.printf "\ntotal: %d instances, %d solver runs, %d failures\n"
+    report.Gen.Fuzz.total_instances report.Gen.Fuzz.total_runs
+    (List.length report.Gen.Fuzz.failures);
+  report.Gen.Fuzz.failures
+
+(* a soak mode: one drive per instance, its rows summed per family
+   into a table whose columns are [max 5 (String.length name)] wide *)
+let fuzz_soak ~title ~noun ~verdict ~label ~columns ~drive ~jobs ~families
+    ~count ~seed ~size =
+  let r =
+    Gen.Fuzz.soak ~size ~jobs ~label ~columns ~drive ~families ~count ~seed ()
+  in
+  print_string title;
+  print_table
+    (("family", -12)
+    :: List.map (fun c -> (c, max 5 (String.length c))) columns)
+    (List.map
+       (fun (name, row) -> name :: List.map string_of_int row)
+       r.Gen.Fuzz.per_family);
+  let failures = r.Gen.Fuzz.soak_failures in
+  Printf.printf "\ntotal: %d %s, %s: %s, %d failures\n" r.Gen.Fuzz.soaks noun
+    verdict
+    (if failures = [] then "yes" else "NO")
+    (List.length failures);
+  failures
+
+(* the service soak drive: the whole streaming daemon on one instance,
+   its concatenated flight log certified *)
+let service_columns =
+  [ "epochs"; "rounds"; "transfers"; "completed"; "abandoned"; "rejected" ]
+
+let service_drive ~fault_rate ~inst ~seed =
+  Service.soak ~epoch_rounds:4 ~fault_rate ~inst ~seed ()
+  |> Result.map (fun (s : Service.soak_stats) ->
+         [
+           s.Service.soak_epochs;
+           s.Service.soak_rounds;
+           s.Service.soak_transfers;
+           s.Service.soak_completed;
+           s.Service.soak_abandoned;
+           s.Service.soak_rejected;
+         ])
+
 let temp_state_dir () =
   let f = Filename.temp_file "migrate_dist_" "" in
   Sys.remove f;
@@ -913,143 +918,91 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let fuzz_distributed ~families ~count ~seed ~size ~regress_dir ~metrics
-    ~metrics_json =
-  let drive ~inst ~seed:iseed =
-    let rng = rng_of_seed (iseed lxor 0x0d15) in
-    let workers = 1 + Random.State.int rng 3 in
-    let kill =
-      let open Distproto.Runner in
-      let kill_round = Random.State.int rng 4 in
-      match Random.State.int rng 5 with
-      | 0 ->
-          {
-            kill_role = `Worker (Random.State.int rng workers);
-            kill_point = Worker_pre_round;
-            kill_round;
-          }
-      | 1 ->
-          {
-            kill_role = `Worker (Random.State.int rng workers);
-            kill_point = Worker_mid_round;
-            kill_round;
-          }
-      | 2 ->
-          {
-            kill_role = `Worker (Random.State.int rng workers);
-            kill_point = Worker_post_report;
-            kill_round;
-          }
-      | 3 -> { kill_role = `Coordinator; kill_point = Coord_pre_commit; kill_round }
-      | _ ->
-          { kill_role = `Coordinator; kill_point = Coord_post_commit; kill_round }
-    in
-    let reference =
-      Migration.Engine.run
-        ~rng:(Distproto.Runner.plan_rng iseed)
-        ~policy:Migration.Engine.no_faults inst
-    in
-    let ref_str =
-      Migration.Certify.execution_to_string
-        reference.Migration.Engine.execution
-    in
-    let state_dir = temp_state_dir () in
-    Fun.protect ~finally:(fun () -> rm_rf state_dir) @@ fun () ->
-    let rec converge attempts kill =
-      if attempts > 8 then
-        Error [ "distributed run did not converge within 8 resumes" ]
-      else
-        match
-          Distproto.Runner.run ?kill ~workers ~seed:iseed ~state_dir inst
-        with
-        | Error msg -> Error [ msg ]
-        | Ok (Distproto.Runner.Interrupted _) ->
-            (* kill specs are one-shot: resume without it *)
-            converge (attempts + 1) None
-        | Ok (Distproto.Runner.Completed o) ->
-            let v =
-              Migration.Certify.certify_execution o.Distproto.Runner.execution
-            in
-            let msgs =
-              List.map Migration.Certify.exec_violation_to_string
-                v.Migration.Certify.exec_violations
-            in
-            let msgs =
-              if
-                Migration.Certify.execution_to_string
-                  o.Distproto.Runner.execution
-                = ref_str
-              then msgs
-              else msgs @ [ "flight log differs from the in-process engine" ]
-            in
-            if msgs <> [] then Error msgs
-            else
-              Ok
-                {
-                  Gen.Fuzz.dd_runs = attempts + 1;
-                  dd_rounds = o.Distproto.Runner.rounds;
-                  dd_transfers = Migration.Instance.n_items inst;
-                  dd_kills = 1;
-                  dd_resumes = attempts;
-                }
-    in
-    converge 0 (Some kill)
+(* the distributed soak drive: the coordinator/worker runner with a
+   random scripted kill, resumed until converged; the flight log must
+   certify AND byte-match the in-process engine's *)
+let dist_columns = [ "runs"; "rounds"; "transfers"; "kills"; "resumes" ]
+
+let dist_drive ~inst ~seed:iseed =
+  let rng = rng_of_seed (iseed lxor 0x0d15) in
+  let workers = 1 + Random.State.int rng 3 in
+  let kill =
+    let open Distproto.Runner in
+    let kill_round = Random.State.int rng 4 in
+    match Random.State.int rng 5 with
+    | 0 ->
+        {
+          kill_role = `Worker (Random.State.int rng workers);
+          kill_point = Worker_pre_round;
+          kill_round;
+        }
+    | 1 ->
+        {
+          kill_role = `Worker (Random.State.int rng workers);
+          kill_point = Worker_mid_round;
+          kill_round;
+        }
+    | 2 ->
+        {
+          kill_role = `Worker (Random.State.int rng workers);
+          kill_point = Worker_post_report;
+          kill_round;
+        }
+    | 3 ->
+        { kill_role = `Coordinator; kill_point = Coord_pre_commit; kill_round }
+    | _ ->
+        { kill_role = `Coordinator; kill_point = Coord_post_commit; kill_round }
   in
-  let report = Gen.Fuzz.run_distributed ~size ~drive ~families ~count ~seed () in
-  Printf.printf
-    "distributed fuzz: %d families x %d instances, size %d, seed %d\n\n"
-    (List.length families) count size seed;
-  Printf.printf "%-12s %5s %6s %9s %5s %7s\n" "family" "runs" "rounds"
-    "transfers" "kills" "resumes";
-  List.iter
-    (fun (name, (t : Gen.Fuzz.dist_stats)) ->
-      Printf.printf "%-12s %5d %6d %9d %5d %7d\n" name t.Gen.Fuzz.dd_runs
-        t.Gen.Fuzz.dd_rounds t.Gen.Fuzz.dd_transfers t.Gen.Fuzz.dd_kills
-        t.Gen.Fuzz.dd_resumes)
-    report.Gen.Fuzz.dist_per_family;
-  Printf.printf "\ntotal: %d soaks, all converged & identical: %s, %d failures\n"
-    report.Gen.Fuzz.dist_instances
-    (if report.Gen.Fuzz.dist_failures = [] then "yes" else "NO")
-    (List.length report.Gen.Fuzz.dist_failures);
-  let regress_dir =
-    match regress_dir with
-    | Some d -> if Sys.file_exists d then Some d else None
-    | None ->
-        if Sys.file_exists "data/regressions" then Some "data/regressions"
-        else None
+  let reference =
+    Migration.Engine.run
+      ~rng:(Distproto.Runner.plan_rng iseed)
+      ~policy:Migration.Engine.no_faults inst
   in
-  List.iter
-    (fun (f : Gen.Fuzz.dist_failure) ->
-      Printf.printf "\nFAILURE family=%s seed=%d size=%d\n" f.Gen.Fuzz.df_family
-        f.Gen.Fuzz.df_seed f.Gen.Fuzz.df_size;
-      List.iter (fun m -> Printf.printf "  - %s\n" m) f.Gen.Fuzz.df_messages;
-      Printf.printf
-        "  reproduce: migrate generate --family %s --seed %d --size %d > bad.inst\n"
-        f.Gen.Fuzz.df_family f.Gen.Fuzz.df_seed f.Gen.Fuzz.df_size;
-      let shrunk = f.Gen.Fuzz.df_shrunk in
-      Printf.printf "  shrunk reproducer (%d disks, %d items):\n"
-        (Migration.Instance.n_disks shrunk)
-        (Migration.Instance.n_items shrunk);
-      String.split_on_char '\n' (Migration.Instance.to_string shrunk)
-      |> List.iter (fun line -> if line <> "" then Printf.printf "    %s\n" line);
-      match regress_dir with
-      | None -> ()
-      | Some dir ->
-          (* test_corpus.ml replays every *_dist.inst through the
-             distributed runner and byte-compares against the engine,
-             so the shrunk reproducer becomes a pinned test *)
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s_s%d_dist.inst" f.Gen.Fuzz.df_family
-                 f.Gen.Fuzz.df_seed)
+  let ref_str =
+    Migration.Certify.execution_to_string
+      reference.Migration.Engine.execution
+  in
+  let state_dir = temp_state_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf state_dir) @@ fun () ->
+  let rec converge attempts kill =
+    if attempts > 8 then
+      Error [ "distributed run did not converge within 8 resumes" ]
+    else
+      match
+        Distproto.Runner.run ?kill ~workers ~seed:iseed ~state_dir inst
+      with
+      | Error msg -> Error [ msg ]
+      | Ok (Distproto.Runner.Interrupted _) ->
+          (* kill specs are one-shot: resume without it *)
+          converge (attempts + 1) None
+      | Ok (Distproto.Runner.Completed o) ->
+          let v =
+            Migration.Certify.certify_execution o.Distproto.Runner.execution
           in
-          let oc = open_out path in
-          output_string oc (Migration.Instance.to_string shrunk);
-          close_out oc;
-          Printf.printf "  written to %s\n" path)
-    report.Gen.Fuzz.dist_failures;
-  report_metrics ~metrics ~metrics_json;
-  if report.Gen.Fuzz.dist_failures <> [] then exit 1
+          let msgs =
+            List.map Migration.Certify.exec_violation_to_string
+              v.Migration.Certify.exec_violations
+          in
+          let msgs =
+            if
+              Migration.Certify.execution_to_string
+                o.Distproto.Runner.execution
+              = ref_str
+            then msgs
+            else msgs @ [ "flight log differs from the in-process engine" ]
+          in
+          if msgs <> [] then Error msgs
+          else
+            Ok
+              [
+                attempts + 1;
+                o.Distproto.Runner.rounds;
+                Migration.Instance.n_items inst;
+                1;
+                attempts;
+              ]
+  in
+  converge 0 (Some kill)
 
 let fuzz families count seed size jobs fault_rate service distributed
     inject_broken regress_dir metrics metrics_json =
@@ -1057,89 +1010,81 @@ let fuzz families count seed size jobs fault_rate service distributed
     Printf.eprintf "error: --fault-rate must be in [0, 1)\n";
     exit 2
   end;
+  if count < 0 then begin
+    Printf.eprintf "error: --count must be non-negative\n";
+    exit 2
+  end;
   if distributed && service then begin
     Printf.eprintf "error: --distributed and --service are exclusive\n";
     exit 2
   end;
-  let families = match families with [] -> Gen.all | fams -> fams in
-  Migration.Instr.reset ();
-  if distributed then
-    fuzz_distributed ~families ~count ~seed ~size ~regress_dir ~metrics
-      ~metrics_json
-  else if service then
-    fuzz_service ~families ~count ~seed ~size ~jobs ~fault_rate ~regress_dir
-      ~metrics ~metrics_json
-  else if fault_rate > 0.0 then
-    fuzz_engine ~families ~count ~seed ~size ~jobs ~fault_rate ~metrics
-      ~metrics_json
-  else begin
-  if inject_broken then Migration.Solver.register broken_solver;
-  let report = Gen.Fuzz.run ~size ~jobs ~families ~count ~seed () in
-  Printf.printf "fuzz: %d families x %d instances, size %d, seed %d\n\n"
-    (List.length families) count size seed;
-  Printf.printf "%-12s %-12s %5s %5s %8s  %s\n" "family" "solver" "runs" "ok"
-    "max-gap" "gap histogram";
-  List.iter
-    (fun (fr : Gen.Fuzz.family_report) ->
-      List.iter
-        (fun (s : Gen.Fuzz.solver_stats) ->
-          Printf.printf "%-12s %-12s %5d %5d %8d  %s\n"
-            fr.Gen.Fuzz.family s.Gen.Fuzz.solver s.Gen.Fuzz.runs
-            s.Gen.Fuzz.certified s.Gen.Fuzz.max_gap
-            (String.concat " "
-               (List.map
-                  (fun (g, c) -> Printf.sprintf "%d:%d" g c)
-                  s.Gen.Fuzz.gaps)))
-        fr.Gen.Fuzz.per_solver)
-    report.Gen.Fuzz.family_reports;
-  Printf.printf "\ntotal: %d instances, %d solver runs, %d failures\n"
-    report.Gen.Fuzz.total_instances report.Gen.Fuzz.total_runs
-    (List.length report.Gen.Fuzz.failures);
-  let regress_dir =
-    match regress_dir with
-    | Some d -> if Sys.file_exists d then Some d else None
-    | None -> if Sys.file_exists "data/regressions" then Some "data/regressions" else None
+  (* a family named twice is fuzzed once, where it first appears *)
+  let families =
+    List.fold_left
+      (fun acc f ->
+        if List.exists (fun g -> g.Gen.name = f.Gen.name) acc then acc
+        else f :: acc)
+      [] families
+    |> List.rev
   in
-  List.iter
-    (fun (f : Gen.Fuzz.failure) ->
-      Printf.printf
-        "\nFAILURE family=%s seed=%d size=%d solver=%s\n"
-        f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size f.Gen.Fuzz.solver;
-      List.iter (fun m -> Printf.printf "  - %s\n" m) f.Gen.Fuzz.messages;
-      Printf.printf
-        "  reproduce: migrate generate --family %s --seed %d --size %d | \
-         migrate plan -a %s -\n"
-        f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size f.Gen.Fuzz.solver;
-      let shrunk = f.Gen.Fuzz.shrunk in
-      Printf.printf "  shrunk reproducer (%d disks, %d items):\n"
-        (Migration.Instance.n_disks shrunk)
-        (Migration.Instance.n_items shrunk);
-      String.split_on_char '\n' (Migration.Instance.to_string shrunk)
-      |> List.iter (fun line ->
-             if line <> "" then Printf.printf "    %s\n" line);
-      match regress_dir with
-      | None -> ()
-      | Some dir ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s_s%d_%s.inst" f.Gen.Fuzz.family
-                 f.Gen.Fuzz.seed f.Gen.Fuzz.solver)
-          in
-          let oc = open_out path in
-          output_string oc (Migration.Instance.to_string shrunk);
-          close_out oc;
-          Printf.printf "  written to %s\n" path)
-    report.Gen.Fuzz.failures;
+  let families = match families with [] -> Gen.all | fams -> fams in
+  let nf = List.length families in
+  let regress_dir =
+    let dir = Option.value regress_dir ~default:"data/regressions" in
+    if Sys.file_exists dir then Some dir else None
+  in
+  Migration.Instr.reset ();
+  let soak = fuzz_soak ~families ~count ~seed ~size in
+  let soak_replay _ = "> bad.inst" in
+  let failures, replay =
+    if distributed then
+      (* sequential: the drive forks *)
+      ( soak ~jobs:1 ~label:"dist" ~columns:dist_columns ~drive:dist_drive
+          ~title:
+            (Printf.sprintf
+               "distributed fuzz: %d families x %d instances, size %d, seed \
+                %d\n\n"
+               nf count size seed)
+          ~noun:"soaks" ~verdict:"all converged & identical",
+        soak_replay )
+    else if service then
+      ( soak ~jobs ~label:"service" ~columns:service_columns
+          ~drive:(service_drive ~fault_rate)
+          ~title:
+            (Printf.sprintf
+               "service fuzz: %d families x %d instances, size %d, fault rate \
+                %g, seed %d\n\n"
+               nf count size fault_rate seed)
+          ~noun:"soaks" ~verdict:"all certified",
+        soak_replay )
+    else if fault_rate > 0.0 then
+      let policy ~inst:_ ~seed =
+        Storsim.Fault.engine_policy ~fault_rate ~seed ()
+      in
+      ( soak ~jobs ~label:"engine" ~columns:Gen.Fuzz.engine_columns
+          ~drive:(Gen.Fuzz.engine_drive ~policy)
+          ~title:
+            (Printf.sprintf
+               "engine fuzz: %d families x %d instances, size %d, fault rate \
+                %g, seed %d\n\n"
+               nf count size fault_rate seed)
+          ~noun:"executions" ~verdict:"all certified",
+        soak_replay )
+    else
+      ( fuzz_differential ~families ~count ~seed ~size ~jobs ~inject_broken,
+        Printf.sprintf "| migrate plan -a %s -" )
+  in
+  List.iter (print_failure ~regress_dir ~replay) failures;
   report_metrics ~metrics ~metrics_json;
-  if report.Gen.Fuzz.failures <> [] then exit 1
-  end
+  if failures <> [] then exit 1
 
 let fuzz_cmd =
   let families =
     let doc =
       Printf.sprintf
         "Comma-separated families to fuzz (default: all of %s).  An unknown \
-         name is a parse error listing the valid families."
+         name is a parse error listing the valid families; a name given \
+         twice is fuzzed once."
         (String.concat ", " Gen.names)
     in
     Arg.(
@@ -1148,7 +1093,7 @@ let fuzz_cmd =
       & info [ "families" ] ~docv:"F1,F2,..." ~doc)
   in
   let count =
-    let doc = "Instances per family." in
+    let doc = "Instances per family (non-negative)." in
     Arg.(value & opt int 20 & info [ "count" ] ~docv:"N" ~doc)
   in
   let regress =
@@ -1174,8 +1119,9 @@ let fuzz_cmd =
   let fault_rate =
     let doc =
       "Switch to fault-injection fuzzing: drive the execution engine over \
-       every generated instance with this per-transfer failure probability \
-       and certify each execution end to end."
+       every generated instance with this per-transfer failure probability, \
+       certify each execution end to end, and shrink failures to minimal \
+       reproducers."
     in
     Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"P" ~doc)
   in

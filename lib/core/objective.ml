@@ -24,8 +24,6 @@ let weighted_sum inst sched =
     (completion_rounds inst sched);
   !total
 
-(* nearest-rank percentile, the same convention [Service] reports for
-   request latencies, so the two metric families compare directly *)
 let percentile sorted q =
   let len = Array.length sorted in
   if len = 0 then 0

@@ -29,9 +29,14 @@ val completion_rounds : Instance.t -> Schedule.t -> int array
 (** [sum_g w_g * C_g] — the SLA objective. *)
 val weighted_sum : Instance.t -> Schedule.t -> int
 
+(** [percentile sorted q] is the nearest-rank [q]-th percentile
+    ([q] in [0, 100]) of an ascending array; [0] when it is empty.
+    {!Service} reports its request latencies with it too, so the two
+    metric families compare directly. *)
+val percentile : int array -> float -> int
+
 (** Nearest-rank (p50, p99) over the non-empty groups' completion
-    rounds — the same percentile convention {!Service} reports for
-    request latencies. *)
+    rounds. *)
 val completion_percentiles : Instance.t -> Schedule.t -> int * int
 
 (** Group ids sorted by priority: weight descending, id ascending. *)

@@ -443,80 +443,95 @@ let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection fuzzing: drive the execution engine over generated
-   instances and certify every execution with
-   [Certify.certify_execution].  The fault policy constructor comes in
-   as a parameter — the seeded implementation lives in the simulation
-   layer ([Storsim.Fault.engine_policy]), which depends on this
-   library's host and must not be depended on back. *)
+(* Soak fuzzing: one drive per generated instance — the engine under
+   injected faults, the streaming service, the distributed runner —
+   summed per family, every failure shrunk against the same drive.
+   Drives above this library in the layering DAG come in as closures. *)
 
-type engine_failure = {
-  ef_family : string;
-  ef_seed : int;
-  ef_size : int;
-  ef_messages : string list;
+type soak_report = {
+  per_family : (string * int list) list;
+  soaks : int;
+  soak_failures : failure list;
 }
 
-type engine_totals = {
-  eng_instances : int;
-  eng_completed : int;
-  eng_quarantined : int;
-  eng_replans : int;
-  eng_retries : int;
-  eng_rounds : int;
-  eng_idle_rounds : int;
-}
+let c_soaks = M.Instr.counter "fuzz.soaks"
+let c_soak_violations = M.Instr.counter "fuzz.soak_violations"
 
-type engine_report = {
-  eng_per_family : (string * engine_totals) list;
-  eng_totals : engine_totals;
-  eng_failures : engine_failure list;
-}
-
-let zero_totals =
+let soak ?(size = 12) ?(jobs = 1) ~label ~columns ~drive ~families ~count ~seed
+    () =
+  let pool = if jobs > 1 then Some (Exec.create ~jobs) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Exec.shutdown pool)
+  @@ fun () ->
+  (* parallel stage: each cell generates its instance and drives it
+     (any parallelism inside the drive is the closure's business); the
+     merge and the shrinker stay sequential in submission order, so the
+     report is byte-identical at every [jobs] *)
+  let cells =
+    Exec.map ?pool
+      (fun (fam, index) ->
+        let iseed = derived_seed ~base:seed ~index in
+        let inst = Families.instance fam ~seed:iseed ~size in
+        (fam.Families.name, iseed, inst, drive ~inst ~seed:iseed))
+      (List.concat_map
+         (fun fam -> List.init count (fun index -> (fam, index)))
+         families)
+  in
+  let sum family =
+    List.fold_left
+      (fun acc (name, _, _, outcome) ->
+        match outcome with
+        | Ok row when name = family -> List.map2 ( + ) acc row
+        | _ -> acc)
+      (List.map (fun _ -> 0) columns)
+      cells
+  in
+  let soak_failures =
+    List.filter_map
+      (fun (family, iseed, inst, outcome) ->
+        match outcome with
+        | Ok _ -> None
+        | Error messages ->
+            let fails i = Result.is_error (drive ~inst:i ~seed:iseed) in
+            Some
+              {
+                family;
+                seed = iseed;
+                size;
+                solver = label;
+                messages;
+                instance = inst;
+                shrunk = shrink ~fails inst;
+              })
+      cells
+  in
+  M.Instr.bump ~by:(List.length cells) c_soaks;
+  M.Instr.bump ~by:(List.length soak_failures) c_soak_violations;
   {
-    eng_instances = 0;
-    eng_completed = 0;
-    eng_quarantined = 0;
-    eng_replans = 0;
-    eng_retries = 0;
-    eng_rounds = 0;
-    eng_idle_rounds = 0;
+    per_family =
+      List.map (fun fam -> (fam.Families.name, sum fam.Families.name)) families;
+    soaks = List.length cells;
+    soak_failures;
   }
 
-let add_totals t (o : M.Engine.outcome) =
-  {
-    eng_instances = t.eng_instances + 1;
-    eng_completed = t.eng_completed + o.M.Engine.completed;
-    eng_quarantined = t.eng_quarantined + List.length o.M.Engine.quarantined;
-    eng_replans = t.eng_replans + o.M.Engine.replans;
-    eng_retries = t.eng_retries + o.M.Engine.retries;
-    eng_rounds = t.eng_rounds + o.M.Engine.total_rounds;
-    eng_idle_rounds = t.eng_idle_rounds + o.M.Engine.idle_rounds;
-  }
+let engine_columns =
+  [ "runs"; "completed"; "quarantined"; "replans"; "retries"; "rounds"; "idle" ]
 
-let c_executions = M.Instr.counter "fuzz.engine.executions"
-let c_exec_violations = M.Instr.counter "fuzz.engine.violations"
-
-(* one engine run, executed on the pool: generate, run, certify.
-   Pure w.r.t. shared state — the engine RNG and the policy are both
-   derived from the cell's own seed — so evaluation order is free. *)
-let eval_engine_cell ~size ~policy (fam, iseed) =
-  let inst = Families.instance fam ~seed:iseed ~size in
+(* one engine run: the engine RNG and the policy both derive from the
+   cell's own seed, so the drive is pure w.r.t. shared state *)
+let engine_drive ~policy ~inst ~seed =
   let n_items = M.Instance.n_items inst in
   match
-    M.Engine.run ~rng:(run_rng iseed "engine")
-      ~policy:(policy ~inst ~seed:iseed) inst
+    M.Engine.run ~rng:(run_rng seed "engine") ~policy:(policy ~inst ~seed) inst
   with
   | exception M.Engine.Plan_rejected msg ->
       Error [ "replan rejected mid-flight: " ^ msg ]
-  | (o : M.Engine.outcome) ->
+  | (o : M.Engine.outcome) -> (
       let v = M.Certify.certify_execution o.M.Engine.execution in
       let messages =
         List.map M.Certify.exec_violation_to_string v.M.Certify.exec_violations
       in
+      let q = List.length o.M.Engine.quarantined in
       let accounting =
-        let q = List.length o.M.Engine.quarantined in
         if o.M.Engine.completed + q <> n_items then
           [
             Printf.sprintf
@@ -525,292 +540,16 @@ let eval_engine_cell ~size ~policy (fam, iseed) =
           ]
         else []
       in
-      (match messages @ accounting with [] -> Ok o | msgs -> Error msgs)
-
-(* ------------------------------------------------------------------ *)
-(* Service soak fuzzing: drive the full streaming service over
-   generated instances and certify the concatenated flight log with
-   [Certify.certify_service].  Like the fault policies above, the
-   driver comes in as a closure ([Service.soak]-based) — the service
-   library sits above this one in the layering DAG and must not be
-   depended on back. *)
-
-type service_stats = {
-  ss_epochs : int;
-  ss_rounds : int;
-  ss_transfers : int;
-  ss_completed : int;
-  ss_abandoned : int;
-  ss_rejected : int;
-}
-
-type service_failure = {
-  sf_family : string;
-  sf_seed : int;
-  sf_size : int;
-  sf_messages : string list;
-  sf_instance : M.Instance.t;
-  sf_shrunk : M.Instance.t;
-}
-
-type service_report = {
-  svc_per_family : (string * service_stats) list;
-  svc_totals : service_stats;
-  svc_instances : int;
-  svc_failures : service_failure list;
-}
-
-let zero_service_stats =
-  {
-    ss_epochs = 0;
-    ss_rounds = 0;
-    ss_transfers = 0;
-    ss_completed = 0;
-    ss_abandoned = 0;
-    ss_rejected = 0;
-  }
-
-let add_service_stats a b =
-  {
-    ss_epochs = a.ss_epochs + b.ss_epochs;
-    ss_rounds = a.ss_rounds + b.ss_rounds;
-    ss_transfers = a.ss_transfers + b.ss_transfers;
-    ss_completed = a.ss_completed + b.ss_completed;
-    ss_abandoned = a.ss_abandoned + b.ss_abandoned;
-    ss_rejected = a.ss_rejected + b.ss_rejected;
-  }
-
-let c_soaks = M.Instr.counter "fuzz.service.soaks"
-let c_soak_violations = M.Instr.counter "fuzz.service.violations"
-
-let run_service ?(size = 10) ?(jobs = 1) ~drive ~families ~count ~seed () =
-  let pool = if jobs > 1 then Some (Exec.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Exec.shutdown pool)
-  @@ fun () ->
-  let specs =
-    List.concat_map
-      (fun fam ->
-        List.init count (fun index -> (fam, derived_seed ~base:seed ~index)))
-      families
-  in
-  (* parallel stage: each cell generates its instance and runs the
-     whole service loop (the service's own [jobs] is the closure's
-     business — parallelism here lives at cell granularity); the merge
-     and the shrinker stay sequential in submission order, so the
-     report is byte-identical at every [jobs] *)
-  let outcomes =
-    Exec.map ?pool
-      (fun (fam, iseed) ->
-        let inst = Families.instance fam ~seed:iseed ~size in
-        (inst, drive ~inst ~seed:iseed))
-      specs
-  in
-  let failures = ref [] in
-  let totals = ref zero_service_stats in
-  let instances = ref 0 in
-  let svc_per_family =
-    List.map
-      (fun fam ->
-        let t = ref zero_service_stats in
-        List.iter2
-          (fun (fam', iseed) (inst, outcome) ->
-            if fam'.Families.name = fam.Families.name then begin
-              M.Instr.bump c_soaks;
-              incr instances;
-              match outcome with
-              | Ok s ->
-                  t := add_service_stats !t s;
-                  totals := add_service_stats !totals s
-              | Error msgs ->
-                  M.Instr.bump c_soak_violations;
-                  let shrunk =
-                    shrink
-                      ~fails:(fun i ->
-                        Result.is_error (drive ~inst:i ~seed:iseed))
-                      inst
-                  in
-                  failures :=
-                    {
-                      sf_family = fam.Families.name;
-                      sf_seed = iseed;
-                      sf_size = size;
-                      sf_messages = msgs;
-                      sf_instance = inst;
-                      sf_shrunk = shrunk;
-                    }
-                    :: !failures
-            end)
-          specs outcomes;
-        (fam.Families.name, !t))
-      families
-  in
-  {
-    svc_per_family;
-    svc_totals = !totals;
-    svc_instances = !instances;
-    svc_failures = List.rev !failures;
-  }
-
-let run_engine ?(size = 12) ?(jobs = 1) ~policy ~families ~count ~seed () =
-  let pool = if jobs > 1 then Some (Exec.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Exec.shutdown pool)
-  @@ fun () ->
-  let specs =
-    List.concat_map
-      (fun fam ->
-        List.init count (fun index -> (fam, derived_seed ~base:seed ~index)))
-      families
-  in
-  (* parallel stage: each cell runs the engine sequentially (the
-     engine's own [jobs] stays 1 — parallelism lives at cell
-     granularity here); merge below is sequential in submission order,
-     so the report is byte-identical at every [jobs] *)
-  let outcomes = Exec.map ?pool (eval_engine_cell ~size ~policy) specs in
-  let failures = ref [] in
-  let totals = ref zero_totals in
-  let eng_per_family =
-    List.map
-      (fun fam ->
-        let t = ref zero_totals in
-        List.iter2
-          (fun (fam', iseed) outcome ->
-            if fam'.Families.name = fam.Families.name then begin
-              M.Instr.bump c_executions;
-              match outcome with
-              | Ok o ->
-                  t := add_totals !t o;
-                  totals := add_totals !totals o
-              | Error msgs ->
-                  M.Instr.bump c_exec_violations;
-                  t := { !t with eng_instances = !t.eng_instances + 1 };
-                  totals :=
-                    { !totals with eng_instances = !totals.eng_instances + 1 };
-                  failures :=
-                    {
-                      ef_family = fam.Families.name;
-                      ef_seed = iseed;
-                      ef_size = size;
-                      ef_messages = msgs;
-                    }
-                    :: !failures
-            end)
-          specs outcomes;
-        (fam.Families.name, !t))
-      families
-  in
-  {
-    eng_per_family;
-    eng_totals = !totals;
-    eng_failures = List.rev !failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Distributed crash-recovery soak: drive the coordinator/worker
-   runner — with scripted random kills — over generated instances,
-   resume after every interruption, and certify + byte-compare the
-   converged flight log.  The driver comes in as a closure (build it
-   from [Distproto.Runner.run]): the distributed control plane sits
-   outside this library's layering cone.  Strictly sequential, no
-   [jobs] knob by design — the driver forks processes, and forking
-   with live worker domains is unsafe in OCaml 5. *)
-
-type dist_stats = {
-  dd_runs : int;       (* run invocations, resumes included *)
-  dd_rounds : int;     (* rounds committed *)
-  dd_transfers : int;  (* items migrated *)
-  dd_kills : int;      (* scripted kills injected *)
-  dd_resumes : int;    (* coordinator resumes needed to converge *)
-}
-
-type dist_failure = {
-  df_family : string;
-  df_seed : int;
-  df_size : int;
-  df_messages : string list;
-  df_instance : M.Instance.t;
-  df_shrunk : M.Instance.t;
-}
-
-type dist_report = {
-  dist_per_family : (string * dist_stats) list;
-  dist_totals : dist_stats;
-  dist_instances : int;
-  dist_failures : dist_failure list;
-}
-
-let zero_dist_stats =
-  { dd_runs = 0; dd_rounds = 0; dd_transfers = 0; dd_kills = 0; dd_resumes = 0 }
-
-let add_dist_stats a b =
-  {
-    dd_runs = a.dd_runs + b.dd_runs;
-    dd_rounds = a.dd_rounds + b.dd_rounds;
-    dd_transfers = a.dd_transfers + b.dd_transfers;
-    dd_kills = a.dd_kills + b.dd_kills;
-    dd_resumes = a.dd_resumes + b.dd_resumes;
-  }
-
-let c_dist_runs = M.Instr.counter "fuzz.dist.runs"
-let c_dist_violations = M.Instr.counter "fuzz.dist.violations"
-
-let run_distributed ?(size = 8) ~drive ~families ~count ~seed () =
-  let specs =
-    List.concat_map
-      (fun fam ->
-        List.init count (fun index -> (fam, derived_seed ~base:seed ~index)))
-      families
-  in
-  (* sequential by necessity (the driver forks); merge order matches
-     run_service so reports stay byte-stable across refactors *)
-  let outcomes =
-    List.map
-      (fun (fam, iseed) ->
-        let inst = Families.instance fam ~seed:iseed ~size in
-        (inst, drive ~inst ~seed:iseed))
-      specs
-  in
-  let failures = ref [] in
-  let totals = ref zero_dist_stats in
-  let instances = ref 0 in
-  let dist_per_family =
-    List.map
-      (fun fam ->
-        let t = ref zero_dist_stats in
-        List.iter2
-          (fun (fam', iseed) (inst, outcome) ->
-            if fam'.Families.name = fam.Families.name then begin
-              M.Instr.bump c_dist_runs;
-              incr instances;
-              match outcome with
-              | Ok s ->
-                  t := add_dist_stats !t s;
-                  totals := add_dist_stats !totals s
-              | Error msgs ->
-                  M.Instr.bump c_dist_violations;
-                  let shrunk =
-                    shrink
-                      ~fails:(fun i ->
-                        Result.is_error (drive ~inst:i ~seed:iseed))
-                      inst
-                  in
-                  failures :=
-                    {
-                      df_family = fam.Families.name;
-                      df_seed = iseed;
-                      df_size = size;
-                      df_messages = msgs;
-                      df_instance = inst;
-                      df_shrunk = shrunk;
-                    }
-                    :: !failures
-            end)
-          specs outcomes;
-        (fam.Families.name, !t))
-      families
-  in
-  {
-    dist_per_family;
-    dist_totals = !totals;
-    dist_instances = !instances;
-    dist_failures = List.rev !failures;
-  }
+      match messages @ accounting with
+      | [] ->
+          Ok
+            [
+              1;
+              o.M.Engine.completed;
+              q;
+              o.M.Engine.replans;
+              o.M.Engine.retries;
+              o.M.Engine.total_rounds;
+              o.M.Engine.idle_rounds;
+            ]
+      | msgs -> Error msgs)

@@ -89,173 +89,81 @@ val run :
   unit ->
   report
 
-(** {1 Fault-injection fuzzing}
+(** {1 Soak fuzzing}
 
-    Instead of certifying {e plans}, drive {!Migration.Engine.run} over
-    generated instances under an injected fault policy and certify
-    every {e execution} with {!Migration.Certify.certify_execution}:
-    exactly-once completion modulo the quarantine, per-round loads
-    under the degraded capacities in force, no traffic through crashed
-    disks, executed rounds within the certified replan budget. *)
+    Instead of certifying {e plans}, execute them: drive one generated
+    instance per cell through an executor and check what it did.  One
+    loop serves every executor; each comes in as a drive:
 
-type engine_failure = {
-  ef_family : string;
-  ef_seed : int;   (** regenerate with [Families.instance ~seed ~size] *)
-  ef_size : int;
-  ef_messages : string list;
+    - {!engine_drive}: {!Migration.Engine.run} under an injected fault
+      policy, every execution certified by
+      {!Migration.Certify.certify_execution} (exactly-once modulo the
+      quarantine, per-round loads under the degraded capacities in
+      force, no traffic through crashed disks, executed rounds within
+      the certified replan budget);
+    - the streaming service (build it from [Service.soak]), its
+      concatenated flight log certified by
+      {!Migration.Certify.certify_service};
+    - the distributed runner (build it from [Distproto.Runner.run])
+      under scripted kills, resumed to convergence, its flight log
+      certified and byte-compared to the in-process engine's.
+
+    The service and the distributed runner sit above this library in
+    the layering DAG, so their drives are built by the caller.
+
+    Instrumentation: drive calls and failing drive calls are counted
+    under ["fuzz.soaks"] and ["fuzz.soak_violations"]. *)
+
+(** Per-family sums of the drives' rows. *)
+type soak_report = {
+  per_family : (string * int list) list;
+      (** input order; a failing cell adds nothing *)
+  soaks : int;  (** drive calls, failing ones included *)
+  soak_failures : failure list;  (** [solver] is the loop's [label] *)
 }
 
-type engine_totals = {
-  eng_instances : int;
-  eng_completed : int;     (** items completed across all executions *)
-  eng_quarantined : int;
-  eng_replans : int;
-  eng_retries : int;
-  eng_rounds : int;        (** executed (non-idle) rounds *)
-  eng_idle_rounds : int;
-}
-
-type engine_report = {
-  eng_per_family : (string * engine_totals) list;  (** input order *)
-  eng_totals : engine_totals;
-  eng_failures : engine_failure list;
-}
-
-(** [run_engine ~policy ~families ~count ~seed ()] runs the engine on
-    [count] instances per family.  [policy ~inst ~seed] builds the
-    fault policy for one cell — pass
-    [Storsim.Fault.engine_policy]-based closures from callers that
-    link the simulation layer (this library deliberately does not).
-    The constructor must be deterministic in [(inst, seed)].
-
-    [jobs] parallelizes at cell granularity on an {!Exec} pool (each
-    cell runs the engine with its internal [jobs = 1]); the merge is
-    sequential in (family, index) submission order, so the report is
-    byte-identical for every [jobs] value. *)
-val run_engine :
-  ?size:int ->
-  ?jobs:int ->
-  policy:(inst:Migration.Instance.t -> seed:int -> Migration.Engine.policy) ->
-  families:Families.family list ->
-  count:int ->
-  seed:int ->
-  unit ->
-  engine_report
-
-(** {1 Service soak fuzzing}
-
-    One level up again from {!run_engine}: drive the whole streaming
-    {e service} — admission, epoching, warm re-planning, faulted
-    execution, patch repairs — over generated instances and certify
-    the concatenated flight log with
-    {!Migration.Certify.certify_service}.  The driver comes in as a
-    closure (build it from [Service.soak]) because the service library
-    sits above this one in the layering DAG. *)
-
-(** Accumulated run statistics, as reported back by the driver. *)
-type service_stats = {
-  ss_epochs : int;
-  ss_rounds : int;      (** global rounds, idle included *)
-  ss_transfers : int;
-  ss_completed : int;   (** requests completed *)
-  ss_abandoned : int;
-  ss_rejected : int;
-}
-
-type service_failure = {
-  sf_family : string;
-  sf_seed : int;   (** regenerate with [Families.instance ~seed ~size] *)
-  sf_size : int;
-  sf_messages : string list;
-  sf_instance : Migration.Instance.t;
-  sf_shrunk : Migration.Instance.t;
-      (** delta-debugged against the same driver *)
-}
-
-type service_report = {
-  svc_per_family : (string * service_stats) list;  (** input order *)
-  svc_totals : service_stats;
-  svc_instances : int;
-  svc_failures : service_failure list;
-}
-
-(** [run_service ~drive ~families ~count ~seed ()] soaks the service
-    on [count] instances per family.  [drive ~inst ~seed] runs one
-    full service loop and returns its stats, or the violation messages
-    on a certification/accounting failure; it must be deterministic in
+(** [soak ~label ~columns ~drive ~families ~count ~seed ()] drives
+    [count] instances per family ([size] defaults to 12).
+    [drive ~inst ~seed] returns one row of counts, one per column, or
+    the violation messages; it must be deterministic in
     [(inst, seed)].  A failing instance is shrunk with
     {!Migration.Shrink} against [Result.is_error (drive ...)], so the
-    reproducer in [sf_shrunk] is locally minimal.
+    reproducer in [shrunk] is locally minimal; [instance] regenerates
+    from the failure's [(family, seed, size)] triple.
 
-    [jobs] parallelizes at cell granularity on an {!Exec} pool; the
-    merge and the shrinker stay sequential in (family, index)
-    submission order, so the report is byte-identical for every [jobs]
-    value. *)
-val run_service :
+    [jobs] (default [1]) runs the cells on an {!Exec} pool; the merge
+    and the shrinker stay sequential in (family, index) submission
+    order, so the report is byte-identical for every [jobs] value.  A
+    drive that forks must run with [jobs = 1]: forking with live
+    worker domains is unsafe. *)
+val soak :
   ?size:int ->
   ?jobs:int ->
+  label:string ->
+  columns:string list ->
   drive:
-    (inst:Migration.Instance.t ->
-    seed:int ->
-    (service_stats, string list) result) ->
+    (inst:Migration.Instance.t -> seed:int -> (int list, string list) result) ->
   families:Families.family list ->
   count:int ->
   seed:int ->
   unit ->
-  service_report
+  soak_report
 
-(** {1 Distributed crash-recovery soak}
+(** The columns of an {!engine_drive} row. *)
+val engine_columns : string list
 
-    One level sideways from {!run_service}: drive the {e distributed}
-    coordinator/worker runner over generated instances with scripted
-    random kills, resume after every interruption, and require the
-    converged flight log to certify and to byte-match the in-process
-    engine's.  The driver comes in as a closure (build it from
-    [Distproto.Runner.run]) because the distributed control plane
-    links process machinery outside this library's layering cone. *)
-
-type dist_stats = {
-  dd_runs : int;       (** run invocations, resumes included *)
-  dd_rounds : int;     (** rounds committed *)
-  dd_transfers : int;  (** items migrated *)
-  dd_kills : int;      (** scripted kills injected *)
-  dd_resumes : int;    (** coordinator resumes needed to converge *)
-}
-
-type dist_failure = {
-  df_family : string;
-  df_seed : int;  (** regenerate with [Families.instance ~seed ~size] *)
-  df_size : int;
-  df_messages : string list;
-  df_instance : Migration.Instance.t;
-  df_shrunk : Migration.Instance.t;
-      (** delta-debugged against the same driver *)
-}
-
-type dist_report = {
-  dist_per_family : (string * dist_stats) list;  (** input order *)
-  dist_totals : dist_stats;
-  dist_instances : int;
-  dist_failures : dist_failure list;
-}
-
-(** [run_distributed ~drive ~families ~count ~seed ()] soaks the
-    distributed runner on [count] instances per family ([size]
-    defaults to 8 — each cell forks a process tree, so cells are
-    smaller than the other loops').  [drive ~inst ~seed] runs one
-    kill/resume/converge cycle and must be deterministic in
-    [(inst, seed)]; a failing instance is shrunk against
-    [Result.is_error (drive ...)].  Strictly sequential — no [jobs]
-    knob — because the driver forks, which is unsafe with live worker
-    domains. *)
-val run_distributed :
-  ?size:int ->
-  drive:
-    (inst:Migration.Instance.t ->
-    seed:int ->
-    (dist_stats, string list) result) ->
-  families:Families.family list ->
-  count:int ->
+(** [engine_drive ~policy ~inst ~seed] runs the engine once on [inst]
+    and certifies the execution, including the exactly-once
+    accounting (completed + quarantined = items).  Its row is one run,
+    then the items completed and quarantined, the replans, the
+    retries, and the executed and idle rounds.  [policy ~inst ~seed]
+    builds the
+    fault policy for the cell — pass [Storsim.Fault.engine_policy]-based
+    closures from callers that link the simulation layer (this library
+    deliberately does not); it must be deterministic in
+    [(inst, seed)]. *)
+val engine_drive :
+  policy:(inst:Migration.Instance.t -> seed:int -> Migration.Engine.policy) ->
+  inst:Migration.Instance.t ->
   seed:int ->
-  unit ->
-  dist_report
+  (int list, string list) result

@@ -41,15 +41,6 @@ let c_transfers = M.Instr.counter "service.transfers"
 let c_repairs = M.Instr.counter "service.repairs"
 let t_epoch = M.Instr.timer "service.epoch"
 
-let percentile sorted q =
-  let len = Array.length sorted in
-  if len = 0 then 0
-  else begin
-    let rank =
-      int_of_float (ceil (q /. 100.0 *. float_of_int len)) in
-    sorted.(max 0 (min (len - 1) (rank - 1)))
-  end
-
 (* Tracking of one admitted request, mirroring the certifier's replay
    move for move: a move is settled once superseded or in effect, a
    request completes when every move settled, and abandonment (a
@@ -605,7 +596,10 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
     |> List.map (fun (t, lats) ->
            let a = Array.of_list lats in
            Array.sort compare a;
-           (t, Array.length a, percentile a 50.0, percentile a 99.0))
+           ( t,
+             Array.length a,
+             M.Objective.percentile a 50.0,
+             M.Objective.percentile a 99.0 ))
   in
   {
     epochs = !epoch_count;
@@ -617,8 +611,8 @@ let run ?(jobs = 1) ?(epoch_rounds = 16) ?(max_epochs = 100_000)
     engine_retries = !retries;
     statuses;
     latencies;
-    p50 = percentile sorted_lat 50.0;
-    p99 = percentile sorted_lat 99.0;
+    p50 = M.Objective.percentile sorted_lat 50.0;
+    p99 = M.Objective.percentile sorted_lat 99.0;
     tenants;
     truncated;
     execution;

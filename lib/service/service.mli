@@ -167,7 +167,8 @@ type soak_stats = {
 
 (** [soak ~inst ~seed ()] returns [Error messages] when the certifier
     rejects the flight log, the accounting disagrees, or the run
-    truncates — the shape {!Gen.Fuzz.run_service} shrinks against. *)
+    truncates — the shape the soak loop {!Gen.Fuzz.soak} shrinks
+    against. *)
 val soak :
   ?jobs:int ->
   ?epoch_rounds:int ->

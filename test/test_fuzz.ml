@@ -289,21 +289,11 @@ let test_dropper_caught () =
     (List.exists (fun m -> contains m "never scheduled") f.Gen.Fuzz.messages)
 
 (* ------------------------------------------------------------------ *)
-(* service soak: the whole streaming daemon as the fuzz cell *)
+(* the soak loop, with the whole streaming daemon as the drive *)
 
 let soak_drive ~fault_rate ~inst ~seed =
-  match Service.soak ~epoch_rounds:4 ~fault_rate ~inst ~seed () with
-  | Ok (s : Service.soak_stats) ->
-      Ok
-        {
-          Gen.Fuzz.ss_epochs = s.Service.soak_epochs;
-          ss_rounds = s.Service.soak_rounds;
-          ss_transfers = s.Service.soak_transfers;
-          ss_completed = s.Service.soak_completed;
-          ss_abandoned = s.Service.soak_abandoned;
-          ss_rejected = s.Service.soak_rejected;
-        }
-  | Error msgs -> Error msgs
+  Service.soak ~epoch_rounds:4 ~fault_rate ~inst ~seed ()
+  |> Result.map (fun (s : Service.soak_stats) -> [ s.Service.soak_transfers ])
 
 (* every generator family through the service loop — the soak driver
    mixes demand-shift / disk-failure / disk-addition triggers into the
@@ -313,59 +303,56 @@ let test_service_soak_clean () =
   List.iter
     (fun fault_rate ->
       let report =
-        Gen.Fuzz.run_service ~size:8
-          ~drive:(fun ~inst ~seed -> soak_drive ~fault_rate ~inst ~seed)
-          ~families:Gen.all ~count:2 ~seed:77 ()
+        Gen.Fuzz.soak ~size:8 ~label:"service" ~columns:[ "transfers" ]
+          ~drive:(soak_drive ~fault_rate) ~families:Gen.all ~count:2 ~seed:77
+          ()
       in
       Alcotest.(check int)
         (Printf.sprintf "fault %.2f: every instance soaked" fault_rate)
         (2 * List.length Gen.all)
-        report.Gen.Fuzz.svc_instances;
+        report.Gen.Fuzz.soaks;
       Alcotest.(check bool)
         (Printf.sprintf "fault %.2f: transfers happened" fault_rate)
         true
-        (report.Gen.Fuzz.svc_totals.Gen.Fuzz.ss_transfers > 0);
-      match report.Gen.Fuzz.svc_failures with
+        (List.exists
+           (fun (_, transfers) -> transfers <> [ 0 ])
+           report.Gen.Fuzz.per_family);
+      match report.Gen.Fuzz.soak_failures with
       | [] -> ()
       | f :: _ ->
           Alcotest.failf "fault %.2f: %s seed=%d size=%d: %s" fault_rate
-            f.Gen.Fuzz.sf_family f.Gen.Fuzz.sf_seed f.Gen.Fuzz.sf_size
-            (String.concat "; " f.Gen.Fuzz.sf_messages))
+            f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size
+            (String.concat "; " f.Gen.Fuzz.messages))
     [ 0.0; 0.1 ]
 
 (* shrink plumbing: an artificially failing driver must come back as a
-   failure whose reproducer was delta-debugged to the boundary (the
-   driver rejects anything over 3 items, so the minimum is 4) *)
-let test_service_soak_shrinks () =
-  let zero =
-    {
-      Gen.Fuzz.ss_epochs = 0;
-      ss_rounds = 0;
-      ss_transfers = 0;
-      ss_completed = 0;
-      ss_abandoned = 0;
-      ss_rejected = 0;
-    }
-  in
+   failure under the loop's label whose reproducer was delta-debugged
+   to the boundary (the driver rejects anything over 3 items, so the
+   minimum is 4); the failing cell adds nothing to the sums *)
+let test_soak_shrinks () =
   let drive ~inst ~seed:_ =
-    if M.Instance.n_items inst > 3 then Error [ "too big" ] else Ok zero
+    if M.Instance.n_items inst > 3 then Error [ "too big" ] else Ok [ 1 ]
   in
   let fam = Option.get (Gen.family_of_string "uniform") in
   let report =
-    Gen.Fuzz.run_service ~size:10 ~drive ~families:[ fam ] ~count:1 ~seed:5 ()
+    Gen.Fuzz.soak ~size:10 ~label:"toy" ~columns:[ "runs" ] ~drive
+      ~families:[ fam ] ~count:1 ~seed:5 ()
   in
   let f =
-    match report.Gen.Fuzz.svc_failures with
+    match report.Gen.Fuzz.soak_failures with
     | [ f ] -> f
     | fs -> Alcotest.failf "expected 1 failure, got %d" (List.length fs)
   in
+  Alcotest.(check string) "labelled with the mode" "toy" f.Gen.Fuzz.solver;
+  Alcotest.(check (list (pair string (list int))))
+    "failing cell not summed" [ ("uniform", [ 0 ]) ] report.Gen.Fuzz.per_family;
   Alcotest.(check bool) "shrunk no bigger than original" true
-    (M.Instance.n_items f.Gen.Fuzz.sf_shrunk
-    <= M.Instance.n_items f.Gen.Fuzz.sf_instance);
+    (M.Instance.n_items f.Gen.Fuzz.shrunk
+    <= M.Instance.n_items f.Gen.Fuzz.instance);
   Alcotest.(check int) "shrunk to the boundary" 4
-    (M.Instance.n_items f.Gen.Fuzz.sf_shrunk);
+    (M.Instance.n_items f.Gen.Fuzz.shrunk);
   Alcotest.(check bool) "shrunk reproducer still fails" true
-    (Result.is_error (drive ~inst:f.Gen.Fuzz.sf_shrunk ~seed:0))
+    (Result.is_error (drive ~inst:f.Gen.Fuzz.shrunk ~seed:0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -412,6 +399,6 @@ let () =
           Alcotest.test_case "all families soak clean, 0% and 10% faults"
             `Slow test_service_soak_clean;
           Alcotest.test_case "failing driver shrunk to the boundary" `Quick
-            test_service_soak_shrinks;
+            test_soak_shrinks;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* The determinism contract of the parallel engine: Exec.map agrees
-   with List.map, Pipeline.solve and Gen.Fuzz.run are bit-identical at
-   every --jobs value, and parallel schedules certify clean. *)
+   with List.map, Pipeline.solve, Gen.Fuzz.run and Gen.Fuzz.soak are
+   bit-identical at every --jobs value, and parallel schedules certify
+   clean. *)
 
 module M = Migration
 module Multigraph = Mgraph.Multigraph
@@ -172,6 +173,13 @@ let prop_multi_component_jobs_independent (sa, sb, seed) =
 (* ------------------------------------------------------------------ *)
 (* fuzz report determinism across jobs *)
 
+let string_of_failure (f : Gen.Fuzz.failure) =
+  Printf.sprintf "failure %s seed=%d size=%d solver=%s\n%s\n%s\n%s\n"
+    f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size f.Gen.Fuzz.solver
+    (String.concat "|" f.Gen.Fuzz.messages)
+    (M.Instance.to_string f.Gen.Fuzz.instance)
+    (M.Instance.to_string f.Gen.Fuzz.shrunk)
+
 let string_of_report (r : Gen.Fuzz.report) =
   let buf = Buffer.create 1024 in
   List.iter
@@ -195,24 +203,57 @@ let string_of_report (r : Gen.Fuzz.report) =
     (Printf.sprintf "totals %d %d\n" r.Gen.Fuzz.total_instances
        r.Gen.Fuzz.total_runs);
   List.iter
-    (fun (f : Gen.Fuzz.failure) ->
-      Buffer.add_string buf
-        (Printf.sprintf "failure %s seed=%d size=%d solver=%s\n%s\n%s\n%s\n"
-           f.Gen.Fuzz.family f.Gen.Fuzz.seed f.Gen.Fuzz.size f.Gen.Fuzz.solver
-           (String.concat "|" f.Gen.Fuzz.messages)
-           (M.Instance.to_string f.Gen.Fuzz.instance)
-           (M.Instance.to_string f.Gen.Fuzz.shrunk)))
+    (fun f -> Buffer.add_string buf (string_of_failure f))
     r.Gen.Fuzz.failures;
   Buffer.contents buf
 
+let string_of_soak (r : Gen.Fuzz.soak_report) =
+  let row cells = String.concat " " (List.map string_of_int cells) in
+  String.concat ""
+    (List.map
+       (fun (family, cells) -> Printf.sprintf "%s %s\n" family (row cells))
+       r.Gen.Fuzz.per_family
+    @ [ Printf.sprintf "soaks %d\n" r.Gen.Fuzz.soaks ]
+    @ List.map string_of_failure r.Gen.Fuzz.soak_failures)
+
+(* the differential loop and two soak drives — the engine under 10%
+   transfer faults and the streaming service — at 1 and jobs_hi
+   domains *)
 let test_fuzz_jobs_independent () =
-  let run jobs =
-    M.Instr.reset ();
-    Gen.Fuzz.run ~size:8 ~jobs ~families:Gen.all ~count:2 ~seed:33 ()
+  let differential jobs =
+    string_of_report
+      (Gen.Fuzz.run ~size:8 ~jobs ~families:Gen.all ~count:2 ~seed:33 ())
   in
-  let r1 = string_of_report (run 1) in
-  let rp = string_of_report (run jobs_hi) in
-  Alcotest.(check string) "byte-identical reports" r1 rp
+  let soak ~label ~columns ~drive jobs =
+    string_of_soak
+      (Gen.Fuzz.soak ~size:8 ~jobs ~label ~columns ~drive ~families:Gen.all
+         ~count:2 ~seed:33 ())
+  in
+  let engine =
+    soak ~label:"engine" ~columns:Gen.Fuzz.engine_columns
+      ~drive:
+        (Gen.Fuzz.engine_drive ~policy:(fun ~inst:_ ~seed ->
+             Storsim.Fault.engine_policy ~fault_rate:0.1 ~seed ()))
+  in
+  let service =
+    soak ~label:"service" ~columns:[ "epochs"; "rounds"; "transfers" ]
+      ~drive:(fun ~inst ~seed ->
+        Service.soak ~epoch_rounds:4 ~inst ~seed ()
+        |> Result.map (fun (s : Service.soak_stats) ->
+               [
+                 s.Service.soak_epochs;
+                 s.Service.soak_rounds;
+                 s.Service.soak_transfers;
+               ]))
+  in
+  List.iter
+    (fun (name, run) ->
+      M.Instr.reset ();
+      let r1 = run 1 in
+      M.Instr.reset ();
+      let rp = run jobs_hi in
+      Alcotest.(check string) (name ^ ": byte-identical reports") r1 rp)
+    [ ("differential", differential); ("engine", engine); ("service", service) ]
 
 (* default_jobs reads MIGRATE_JOBS exactly once per process: a worker
    process that mutates the env mid-run (putenv is not thread-safe
