@@ -1,6 +1,6 @@
-(* Module-level mutable state used only from sequential code: the
-   syntactic domain-safety rule flags it on sight, the escape analysis
-   accepts it — no closure carrying it ever reaches a pool. *)
+(* Module-level mutable state used only from sequential code: no
+   closure carrying it ever reaches a pool, so it needs no annotation. *)
+
 let table : (int, int) Hashtbl.t = Hashtbl.create 16
 
 let memo f x =

@@ -1,4 +1,4 @@
-(* Not a kernel file itself, so the syntactic hotpath rule never looks
-   here — but Vizing.color calls into it, putting this List.map on the
-   kernel's path. *)
+(* Not a kernel file itself, but Vizing.color calls into it, putting
+   this List.map on the kernel's path. *)
+
 let grow xs = List.map succ xs

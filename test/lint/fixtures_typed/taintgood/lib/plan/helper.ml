@@ -1,7 +1,6 @@
 (* The interface does not export [roll], and nothing reachable calls
-   it: the syntactic determinism rule flags the bare Random.int, but
-   the taint analysis accepts the module — no exported entry point can
-   observe the nondeterminism.  [jitter] takes its state explicitly,
-   which both rules accept. *)
+   it: no exported entry point can observe the bare Random.int, so the
+   module is accepted.  [jitter] takes its state explicitly, which is
+   fine wherever it is called from. *)
 let roll n = Random.int n
 let jitter st n = n + Random.State.int st n

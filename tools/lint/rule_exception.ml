@@ -38,7 +38,7 @@ let reraises (e : Parsetree.expression) =
   it.expr it e;
   !found
 
-let check (_file : Source.file) (emit : Walk.emit) =
+let check (emit : Walk.emit) : Walk.check =
   let flag_cases cases =
     List.iter
       (fun (c : Parsetree.case) ->
@@ -48,7 +48,7 @@ let check (_file : Source.file) (emit : Walk.emit) =
              specific exceptions, bind and report it, or re-raise")
       cases
   in
-  let on_expr (e : Parsetree.expression) =
+  fun (e : Parsetree.expression) ->
     match e.pexp_desc with
     | Pexp_try (_, cases) -> flag_cases cases
     | Pexp_match (_, cases) ->
@@ -60,5 +60,3 @@ let check (_file : Source.file) (emit : Walk.emit) =
                | _ -> false)
              cases)
     | _ -> ()
-  in
-  { Walk.no_check with on_expr }

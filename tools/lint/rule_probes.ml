@@ -35,7 +35,7 @@ let name_ok name =
   | _ :: _ :: _ as segs -> List.for_all seg_ok segs
   | _ -> false
 
-let check (st : state) (file : Source.file) (emit : Walk.emit) =
+let check (st : state) (file : Source.file) (emit : Walk.emit) : Walk.check =
   let register ~loc ~kind name =
     if not (name_ok name) then
       emit ~rule ~loc
@@ -62,7 +62,7 @@ let check (st : state) (file : Source.file) (emit : Walk.emit) =
           Hashtbl.add st.tbl name
             { kind; file = file.path; line = Walk.line_of loc }
   in
-  let on_expr (e : Parsetree.expression) =
+  fun (e : Parsetree.expression) ->
     match e.pexp_desc with
     | Pexp_apply
         ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (Nolabel, arg) :: _) -> (
@@ -81,5 +81,3 @@ let check (st : state) (file : Source.file) (emit : Walk.emit) =
                    a literal or annotate [@lint.allow \"probes: ...\"]")
         | _ -> ())
     | _ -> ()
-  in
-  { Walk.no_check with on_expr }

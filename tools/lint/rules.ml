@@ -17,27 +17,17 @@ let all =
   [
     {
       name = "determinism";
-      kind = Syntactic;
-      summary = "bare Random.* and wall-clock reads banned under lib/";
-    };
-    {
-      name = "determinism-taint";
       kind = Interprocedural;
       summary =
-        "no solver/planner entry point may transitively reach ambient \
-         nondeterminism";
-    };
-    {
-      name = "domain-escape";
-      kind = Interprocedural;
-      summary =
-        "module-level mutable state must not escape unguarded into \
-         worker-domain closures";
+        "no exported lib value or module initializer may transitively reach \
+         ambient nondeterminism";
     };
     {
       name = "domain-safety";
-      kind = Syntactic;
-      summary = "module-level mutable state needs a reviewed guard";
+      kind = Interprocedural;
+      summary =
+        "module-level mutable state must not escape unguarded into \
+         worker-domain closures or module initializers";
     };
     {
       name = "exception";
@@ -46,11 +36,6 @@ let all =
     };
     {
       name = "hotpath";
-      kind = Syntactic;
-      summary = "no List/Hashtbl in the seven flat-core kernel files";
-    };
-    {
-      name = "hotpath-deep";
       kind = Interprocedural;
       summary =
         "kernel entry points may not transitively reach allocating stdlib \

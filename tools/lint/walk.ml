@@ -2,19 +2,12 @@
 
    Drives every syntactic rule over one parsed implementation in a
    single traversal while maintaining the [@lint.allow] suppression
-   scope stack.  Rules plug in as [check] records: [on_expr] fires for
-   every expression, [on_top_binding] only for value bindings at
-   module level (the module-level-state surface the domain-safety rule
-   cares about). *)
+   scope stack.  A rule plugs in as a [check], called on every
+   expression. *)
 
 type emit = rule:string -> loc:Location.t -> string -> unit
+type check = Parsetree.expression -> unit
 
-type check = {
-  on_expr : Parsetree.expression -> unit;
-  on_top_binding : Parsetree.value_binding -> unit;
-}
-
-let no_check = { on_expr = ignore; on_top_binding = ignore }
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
 (* Returns the findings plus the file-wide allow set (consulted by the
@@ -34,7 +27,6 @@ let run ~(file : Source.file) ~(make_checks : emit -> check list)
     if not (Allow.active env rule) then raw ~rule ~loc msg
   in
   let checks = make_checks emit in
-  let expr_depth = ref 0 in
   let default = Ast_iterator.default_iterator in
   let iter =
     {
@@ -42,10 +34,8 @@ let run ~(file : Source.file) ~(make_checks : emit -> check list)
       expr =
         (fun it (e : Parsetree.expression) ->
           push (Allow.of_attributes ~bad e.pexp_attributes);
-          List.iter (fun c -> c.on_expr e) checks;
-          incr expr_depth;
+          List.iter (fun check -> check e) checks;
           default.expr it e;
-          decr expr_depth;
           pop ());
       structure_item =
         (fun it (si : Parsetree.structure_item) ->
@@ -56,8 +46,6 @@ let run ~(file : Source.file) ~(make_checks : emit -> check list)
               List.iter
                 (fun (vb : Parsetree.value_binding) ->
                   push (Allow.of_attributes ~bad vb.pvb_attributes);
-                  if !expr_depth = 0 then
-                    List.iter (fun c -> c.on_top_binding vb) checks;
                   default.value_binding it vb;
                   pop ())
                 vbs
