@@ -1018,6 +1018,18 @@ let fuzz families count seed size jobs fault_rate service distributed
     Printf.eprintf "error: --distributed and --service are exclusive\n";
     exit 2
   end;
+  if distributed && fault_rate > 0.0 then begin
+    Printf.eprintf
+      "error: --distributed executes fault-free; --fault-rate is not \
+       supported\n";
+    exit 2
+  end;
+  if inject_broken && (service || distributed || fault_rate > 0.0) then begin
+    Printf.eprintf
+      "error: --inject-broken is for the differential mode only (not with \
+       --service, --distributed or --fault-rate)\n";
+    exit 2
+  end;
   (* a family named twice is fuzzed once, where it first appears *)
   let families =
     List.fold_left
@@ -1111,8 +1123,9 @@ let fuzz_cmd =
   in
   let inject_broken =
     let doc =
-      "Also register a deliberately broken planner (testing hook: \
-       exercises failure reporting and the non-zero exit code)."
+      "Differential mode only: also register a deliberately broken \
+       planner (testing hook: exercises failure reporting and the non-zero \
+       exit code)."
     in
     Arg.(value & flag & info [ "inject-broken" ] ~doc)
   in
