@@ -707,23 +707,37 @@ let parse_trace lines =
                         | None -> Some (Array.make n 2)
                         | Some s ->
                             let parts = String.split_on_char ',' s in
-                            if List.length parts <> n then None
-                            else
-                              let a = List.filter_map parse_int parts in
-                              if List.length a = n then
-                                Some (Array.of_list a)
-                              else None
+                            let a =
+                              List.filter_map parse_int parts
+                              |> List.filter (fun c -> c >= 1)
+                            in
+                            if List.length parts = n && List.length a = n then
+                              Some (Array.of_list a)
+                            else None
                       in
-                      match caps with
-                      | None -> err "line %d: bad caps list" lineno
-                      | Some caps ->
-                          let s =
-                            Option.bind zipf float_of_string_opt
-                            |> Option.value ~default:1.1
-                          in
-                          let seed =
-                            Option.bind seed parse_int |> Option.value ~default:0
-                          in
+                      (* a key that is present must parse: a typo is an
+                         error, not the default *)
+                      let zipf =
+                        match zipf with
+                        | None -> Some 1.1
+                        | Some z -> (
+                            match float_of_string_opt z with
+                            | Some s when Float.is_finite s && s >= 0.0 ->
+                                Some s
+                            | _ -> None)
+                      in
+                      let seed =
+                        match seed with None -> Some 0 | Some v -> parse_int v
+                      in
+                      match (caps, zipf, seed) with
+                      | None, _, _ ->
+                          err "line %d: bad caps list (want %d integers >= 1)"
+                            lineno n
+                      | _, None, _ ->
+                          err "line %d: bad zipf (want a finite number >= 0)"
+                            lineno
+                      | _, _, None -> err "line %d: bad seed" lineno
+                      | Some caps, Some s, Some seed ->
                           let rng = Random.State.make [| seed; 0x7ace |] in
                           let demands =
                             Workloads.Demand.demands rng ~n:m ~s

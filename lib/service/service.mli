@@ -142,7 +142,9 @@ val pp_statuses : Format.formatter -> report -> unit
     [init] builds the cluster: seeded Zipf demands over [items] items
     ([zipf] is the skew [s], default [1.1]; [seed] defaults [0]), the
     initial placement balanced with {!Workloads.Layout.balance} under
-    [caps] as weights ([caps] defaults to [2] everywhere). *)
+    [caps] as weights ([caps] defaults to [2] everywhere).  Each cap must
+    be [>= 1] and [zipf] a finite number [>= 0]; a key that is present
+    but does not parse is an error, not the default. *)
 val parse_trace : string list -> (cluster * request list, string) result
 
 (** {1 Soak driver}
