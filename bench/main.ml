@@ -8,9 +8,8 @@
      E4 thm51      general constraints: additive gap vs OPT / lower bound
      E5 baselines  hetero vs Saia-1.5 vs greedy
      E6 lb2        instances where Γ (Lemma 3.1) beats LB1
-     E7 runtime    scaling, plus Bechamel micro-benchmarks
      E8 scenarios  end-to-end cluster scenarios
-     E9-E25        extensions and ablations (EXPERIMENTS.md)
+     E9-E24        extensions and ablations (EXPERIMENTS.md)
      E26 parallel  pipeline speedup at 1/2/4 domains
      E27 huge      wall time and allocation per solver at ~1e5 edges
      E28 engine    incremental re-planning vs the re-solve oracle
@@ -66,13 +65,11 @@ let e1_fig1 () =
     (match opt with Some o -> string_of_int o | None -> "?");
   Printf.printf "%-10s %7s\n" "algorithm" "rounds";
   List.iter
-    (fun alg ->
-      let sched = M.plan ~rng:(rng_of 2) alg inst in
+    (fun (s : M.Solver.t) ->
+      let sched = M.Solver.solve ~rng:(rng_of 2) s inst in
       fail_invalid inst sched "e1";
-      Printf.printf "%-10s %7d\n"
-        (M.algorithm_to_string alg)
-        (M.Schedule.n_rounds sched))
-    [ M.Hetero; M.Saia_split; M.Greedy ]
+      Printf.printf "%-10s %7d\n" s.name (M.Schedule.n_rounds sched))
+    M.Solver.[ hetero; saia; greedy ]
 
 (* ------------------------------------------------------------------ *)
 (* E2: Figure 2 — parallel transfers beat single-stream migration      *)
@@ -88,7 +85,7 @@ let e2_fig2 () =
       let g = Mgraph.Graph_gen.triangle_stack m in
       let run cap =
         let inst = M.Instance.uniform g ~cap in
-        let sched = M.plan ~rng:(rng_of m) M.Auto inst in
+        let sched = M.Solver.solve ~rng:(rng_of m) M.Pipeline.auto inst in
         fail_invalid inst sched "e2";
         let disks =
           Array.init 3 (fun id -> Storsim.Disk.make ~id ~cap ())
@@ -220,12 +217,14 @@ let e5_baselines () =
       ("triangle", fun _ -> Mgraph.Graph_gen.triangle_stack 40);
     ]
   in
+  let solvers = M.Solver.[ hetero; saia; greedy ] in
   List.iter
     (fun (name, make) ->
+      (* keyed by solver name: a [Solver.t] holds closures *)
       let ratios = Hashtbl.create 3 in
       List.iter
-        (fun alg -> Hashtbl.add ratios alg (ref 0.0))
-        [ M.Hetero; M.Saia_split; M.Greedy ];
+        (fun (s : M.Solver.t) -> Hashtbl.add ratios s.name (ref 0.0))
+        solvers;
       let trials = 5 in
       for seed = 1 to trials do
         let rng = rng_of (31 * seed) in
@@ -233,17 +232,17 @@ let e5_baselines () =
         let inst = M.Instance.random_caps rng g ~choices:[ 1; 2; 3; 5 ] in
         let lb = float_of_int (M.Lower_bounds.lower_bound ~rng inst) in
         List.iter
-          (fun alg ->
-            let sched = M.plan ~rng:(rng_of (17 * seed)) alg inst in
+          (fun (s : M.Solver.t) ->
+            let sched = M.Solver.solve ~rng:(rng_of (17 * seed)) s inst in
             fail_invalid inst sched "e5";
             let r = float_of_int (M.Schedule.n_rounds sched) in
-            let acc = Hashtbl.find ratios alg in
+            let acc = Hashtbl.find ratios s.name in
             acc := !acc +. (r /. Float.max lb 1.0))
-          [ M.Hetero; M.Saia_split; M.Greedy ]
+          solvers
       done;
-      let mean alg = !(Hashtbl.find ratios alg) /. float_of_int trials in
-      Printf.printf "%12s | %8.3fx %8.3fx %8.3fx\n" name (mean M.Hetero)
-        (mean M.Saia_split) (mean M.Greedy))
+      let mean s = !(Hashtbl.find ratios s) /. float_of_int trials in
+      Printf.printf "%12s | %8.3fx %8.3fx %8.3fx\n" name (mean "hetero")
+        (mean "saia") (mean "greedy"))
     families
 
 (* ------------------------------------------------------------------ *)
@@ -287,79 +286,6 @@ let e6_lb2 () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* E7: runtime scaling + Bechamel micro-benchmarks                     *)
-
-let time_once f =
-  let t0 = Sys.time () in
-  let x = f () in
-  (x, Sys.time () -. t0)
-
-let e7_runtime () =
-  header "E7 [runtime]  planning cost scaling";
-  Printf.printf "%8s %8s | %12s %12s %12s  (seconds, single run)\n" "n" "m"
-    "even-opt" "hetero" "saia";
-  List.iter
-    (fun (n, m) ->
-      let rng = rng_of (n + m) in
-      let g = Mgraph.Graph_gen.gnm rng ~n ~m in
-      let even = M.Instance.random_caps (rng_of 1) g ~choices:[ 2; 4 ] in
-      let mixed = M.Instance.random_caps (rng_of 2) g ~choices:[ 1; 2; 3; 5 ] in
-      let _, t_even = time_once (fun () -> M.Even_optimal.schedule even) in
-      let _, t_het =
-        time_once (fun () -> M.Hetero_coloring.schedule ~rng:(rng_of 3) mixed)
-      in
-      let _, t_saia =
-        time_once (fun () -> M.Saia.schedule ~rng:(rng_of 4) mixed)
-      in
-      Printf.printf "%8d %8d | %12.3f %12.3f %12.3f\n" n m t_even t_het t_saia)
-    [ (32, 500); (64, 2000); (128, 8000); (256, 32000) ]
-
-let e7_bechamel () =
-  header "E7b [Bechamel]  micro-benchmarks (ns per planning run)";
-  let open Bechamel in
-  let mk_instance seed n m menu =
-    let rng = rng_of seed in
-    let g = Mgraph.Graph_gen.gnm rng ~n ~m in
-    M.Instance.random_caps rng g ~choices:menu
-  in
-  let even_inst = mk_instance 11 24 300 [ 2; 4 ] in
-  let mixed_inst = mk_instance 12 24 300 [ 1; 2; 3 ] in
-  let tests =
-    [
-      Test.make ~name:"even_optimal/n24/m300"
-        (Staged.stage (fun () -> M.Even_optimal.schedule even_inst));
-      Test.make ~name:"hetero/n24/m300"
-        (Staged.stage (fun () ->
-             M.Hetero_coloring.schedule ~rng:(rng_of 13) mixed_inst));
-      Test.make ~name:"saia/n24/m300"
-        (Staged.stage (fun () -> M.Saia.schedule ~rng:(rng_of 14) mixed_inst));
-      Test.make ~name:"greedy/n24/m300"
-        (Staged.stage (fun () ->
-             Coloring.Greedy_coloring.color
-               (M.Instance.graph mixed_inst)
-               ~cap:(M.Instance.cap mixed_inst)));
-      Test.make ~name:"lower_bound/n24/m300"
-        (Staged.stage (fun () ->
-             M.Lower_bounds.lower_bound ~rng:(rng_of 15) mixed_inst));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"planners" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some [ ns ] -> Printf.printf "%-32s %12.0f ns/run\n" name ns
-      | _ -> Printf.printf "%-32s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* E8: end-to-end cluster scenarios                                    *)
 
 let e8_scenarios () =
@@ -389,21 +315,19 @@ let e8_scenarios () =
   List.iter
     (fun (name, build) ->
       List.iter
-        (fun alg ->
+        (fun (s : M.Solver.t) ->
           (* fresh scenario per run: the simulator mutates placements *)
           let sc = build (rng_of 2024) in
           let _, report =
-            Storsim.Simulator.run ~rng:(rng_of 9)
-              ~choose:(M.choose_of_algorithm alg) ~policy:M.Engine.no_faults
-              sc.Workloads.Scenarios.cluster
+            Storsim.Simulator.run ~rng:(rng_of 9) ~choose:(fun _ -> s)
+              ~policy:M.Engine.no_faults sc.Workloads.Scenarios.cluster
               ~target:sc.Workloads.Scenarios.target
           in
-          Printf.printf "%18s %8s | %7d %7d %8.1f %7.2f\n" name
-            (M.algorithm_to_string alg)
+          Printf.printf "%18s %8s | %7d %7d %8.1f %7.2f\n" name s.name
             report.Storsim.Simulator.items_moved report.Storsim.Simulator.rounds
             report.Storsim.Simulator.wall_time
             report.Storsim.Simulator.mean_utilization)
-        [ M.Hetero; M.Saia_split; M.Greedy ])
+        M.Solver.[ hetero; saia; greedy ])
     builders
 
 (* ------------------------------------------------------------------ *)
@@ -442,6 +366,11 @@ let e9_forwarding () =
 
 (* ------------------------------------------------------------------ *)
 (* E10: multiplicity halving (Section V closing remark)                *)
+
+let time_once f =
+  let t0 = Sys.time () in
+  let x = f () in
+  (x, Sys.time () -. t0)
 
 let e10_halving () =
   header "E10 [ablation]  multiplicity halving (Section V closing remark)";
@@ -701,7 +630,7 @@ let e15_async () =
           targets;
         }
       in
-      let sched = M.plan ~rng M.Hetero inst in
+      let sched = M.Solver.solve ~rng M.Solver.hetero inst in
       let barrier = Storsim.Bandwidth.schedule_duration ~disks job sched in
       let planned =
         Storsim.Async_exec.run ~disks job (Storsim.Async_exec.By_schedule sched)
@@ -795,7 +724,7 @@ let e17_sizes () =
         }
       in
       let sizes = Workloads.Demand.sizes rng ~n:m_items ~alpha in
-      let sched = M.plan ~rng M.Hetero inst in
+      let sched = M.Solver.solve ~rng M.Solver.hetero inst in
       let naive = Storsim.Bandwidth.schedule_duration ~disks ~sizes job sched in
       let _, st = Storsim.Size_balance.optimize ~disks ~sizes job sched in
       let async_report =
@@ -889,7 +818,7 @@ let e20_network () =
   let g = Mgraph.Graph_gen.triangle_stack m in
   let run cap network =
     let inst = M.Instance.uniform g ~cap in
-    let sched = M.plan ~rng:(rng_of 1) M.Auto inst in
+    let sched = M.Solver.solve ~rng:(rng_of 1) M.Pipeline.auto inst in
     let disks = Array.init 3 (fun id -> Storsim.Disk.make ~id ~cap ()) in
     let job =
       {
@@ -1034,26 +963,6 @@ let e24_deadline () =
     [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* E25: structured instrumentation — where planning time goes          *)
-
-let e25_metrics () =
-  header "E25 [metrics]  per-phase timings and counters (Migration.Instr)";
-  Printf.printf
-    "pipeline auto on a mixed instance; spans aggregate every\n\
-     component's solver run\n\n";
-  let g = Mgraph.Graph_gen.gnm (rng_of 57) ~n:96 ~m:6000 in
-  let inst = M.Instance.random_caps (rng_of 58) g ~choices:[ 1; 2; 3; 4 ] in
-  M.Instr.reset ();
-  let sched, report =
-    M.Pipeline.solve ~rng:(rng_of 59) ~choose:M.Pipeline.auto_choose inst
-  in
-  fail_invalid inst sched "pipeline auto";
-  Printf.printf "%d disks, %d items -> %d rounds over %d component(s)\n\n"
-    (M.Instance.n_disks inst) (M.Instance.n_items inst)
-    (M.Schedule.n_rounds sched) report.M.Pipeline.components;
-  Format.printf "%a@." M.Instr.pp_table (M.Instr.snapshot ())
-
-(* ------------------------------------------------------------------ *)
 (* E26: parallel scaling of the component pipeline                    *)
 
 let wall_clock f =
@@ -1178,8 +1087,10 @@ let e27_huge () =
         (Printf.sprintf "e27: %s allocated %.1f bytes per edge, over its %.0f"
            name bpe budget)
   in
-  measure "greedy" (fun () -> M.plan ~rng:(rng_of 911) M.Greedy inst);
-  measure "hetero" (fun () -> M.plan ~rng:(rng_of 912) M.Hetero inst);
+  measure "greedy" (fun () ->
+      M.Solver.solve ~rng:(rng_of 911) M.Solver.greedy inst);
+  measure "hetero" (fun () ->
+      M.Solver.solve ~rng:(rng_of 912) M.Solver.hetero inst);
   measure "even-opt" (fun () -> M.Even_optimal.schedule inst)
 
 (* ------------------------------------------------------------------ *)
@@ -1317,8 +1228,6 @@ let experiments =
     ("thm51", e4_thm51);
     ("baselines", e5_baselines);
     ("lb2", e6_lb2);
-    ("runtime", e7_runtime);
-    ("bechamel", e7_bechamel);
     ("scenarios", e8_scenarios);
     ("forwarding", e9_forwarding);
     ("halving", e10_halving);
@@ -1335,7 +1244,6 @@ let experiments =
     ("restripe", e21_restripe);
     ("orbits", e22_orbit_engine);
     ("deadline", e24_deadline);
-    ("metrics", e25_metrics);
     ("parallel", e26_parallel);
     ("huge", e27_huge);
     ("engine", e28_engine);

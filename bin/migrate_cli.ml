@@ -73,13 +73,18 @@ let instance_arg =
   let doc = "Instance file ('-' for stdin)." in
   Arg.(value & pos 0 string "-" & info [] ~docv:"INSTANCE" ~doc)
 
-(* generated from [all_algorithms], so it cannot go stale *)
+let solver_name (s : Migration.Solver.t) = s.name
+
+(* generated from [Pipeline.solvers], so it cannot go stale; the
+   default, auto, comes first *)
 let algorithm_names =
-  List.map Migration.algorithm_to_string Migration.all_algorithms
+  let auto = Migration.Pipeline.auto in
+  List.map solver_name
+    (auto :: List.filter (fun s -> s != auto) Migration.Pipeline.solvers)
 
 let algorithm_conv =
   let parse s =
-    match Migration.algorithm_of_string s with
+    match Migration.Pipeline.find s with
     | Some a -> Ok a
     | None ->
         Error
@@ -87,14 +92,17 @@ let algorithm_conv =
             (Printf.sprintf "unknown algorithm %S (%s)" s
                (String.concat "|" algorithm_names)))
   in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Migration.algorithm_to_string a))
+  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (solver_name s))
 
 let algorithm_arg =
   let doc =
     Printf.sprintf "Scheduling algorithm: %s."
       (String.concat ", " algorithm_names)
   in
-  Arg.(value & opt algorithm_conv Migration.Auto & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
+  Arg.(
+    value
+    & opt algorithm_conv Migration.Pipeline.auto
+    & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
 
 (* Structured instrumentation (Migration.Instr): reset before planning,
    report after.  Counters are registered at module load, so the JSON
@@ -216,7 +224,7 @@ let plan path alg objective seed jobs quiet save metrics metrics_json verbose =
   let inst = read_instance path in
   let rng = rng_of_seed seed in
   Migration.Instr.reset ();
-  let sched = Migration.plan ~rng ~jobs alg inst in
+  let sched = Migration.Solver.solve ~rng ~jobs alg inst in
   (match Migration.Schedule.validate inst sched with
   | Ok () -> ()
   | Error msg ->
@@ -229,7 +237,7 @@ let plan path alg objective seed jobs quiet save metrics metrics_json verbose =
     | `Makespan -> sched
     | `Group_ct -> Migration.Objective.reorder inst sched
   in
-  Printf.printf "algorithm:   %s\n" (Migration.algorithm_to_string alg);
+  Printf.printf "algorithm:   %s\n" (solver_name alg);
   Printf.printf "objective:   %s\n"
     (match objective with `Makespan -> "makespan" | `Group_ct -> "group-ct");
   Printf.printf "rounds:      %d\n" (Migration.Schedule.n_rounds sched);
@@ -255,9 +263,7 @@ let plan path alg objective seed jobs quiet save metrics metrics_json verbose =
       (* audit our own claim with the independent certifier, exactly
          as the fuzz loop would *)
       let claim =
-        O.claim
-          ~solver:(Migration.algorithm_to_string alg)
-          ~reordered:true inst sched
+        O.claim ~solver:(solver_name alg) ~reordered:true inst sched
       in
       let v = Migration.Certify.check_sla inst sched claim in
       Format.printf "%a@." Migration.Certify.pp_sla v;
@@ -313,36 +319,30 @@ let compare_algs path seed metrics metrics_json =
     lb;
   Printf.printf "%-10s %8s %8s %12s\n" "algorithm" "rounds" "vs LB" "utilization";
   List.iter
-    (fun alg ->
-      match
-        if alg = Migration.Even_opt && not (Migration.Instance.all_caps_even inst)
-        then None
-        else Some (Migration.plan ~rng:(rng ()) alg inst)
-      with
-      | None -> Printf.printf "%-10s %8s\n" (Migration.algorithm_to_string alg) "n/a"
-      | Some sched ->
-          let r = Migration.Schedule.n_rounds sched in
-          Printf.printf "%-10s %8d %7.2fx %12.2f\n"
-            (Migration.algorithm_to_string alg)
-            r
-            (if lb = 0 then 1.0 else float_of_int r /. float_of_int lb)
-            (Migration.Schedule.utilization inst sched))
-    [ Migration.Even_opt; Migration.Hetero; Migration.Saia_split; Migration.Greedy ];
+    (fun (s : Migration.Solver.t) ->
+      if not (s.can_solve inst) then Printf.printf "%-10s %8s\n" s.name "n/a"
+      else
+        let sched = Migration.Solver.solve ~rng:(rng ()) s inst in
+        let r = Migration.Schedule.n_rounds sched in
+        Printf.printf "%-10s %8d %7.2fx %12.2f\n" s.name r
+          (if lb = 0 then 1.0 else float_of_int r /. float_of_int lb)
+          (Migration.Schedule.utilization inst sched))
+    Migration.Solver.[ even_opt; hetero; saia; greedy ];
   (* the pipeline run: decompose, pick a solver per component, merge *)
-  (match Migration.Pipeline.plan_report ~rng:(rng ()) "auto" inst with
-  | None -> ()
-  | Some (sched, report) ->
-      Printf.printf "\npipeline auto: %d rounds over %d component(s)\n"
-        (Migration.Schedule.n_rounds sched)
-        report.Migration.Pipeline.components;
-      List.iter
-        (fun s ->
-          Printf.printf
-            "  component %d: %d disks, %d items -> %s (%d rounds)\n"
-            s.Migration.Pipeline.component s.Migration.Pipeline.n_disks
-            s.Migration.Pipeline.n_items s.Migration.Pipeline.solver
-            s.Migration.Pipeline.rounds)
-        report.Migration.Pipeline.selections);
+  let sched, report =
+    Migration.Pipeline.solve ~rng:(rng ())
+      ~choose:Migration.Pipeline.auto_choose inst
+  in
+  Printf.printf "\npipeline auto: %d rounds over %d component(s)\n"
+    (Migration.Schedule.n_rounds sched)
+    report.Migration.Pipeline.components;
+  List.iter
+    (fun s ->
+      Printf.printf "  component %d: %d disks, %d items -> %s (%d rounds)\n"
+        s.Migration.Pipeline.component s.Migration.Pipeline.n_disks
+        s.Migration.Pipeline.n_items s.Migration.Pipeline.solver
+        s.Migration.Pipeline.rounds)
+    report.Migration.Pipeline.selections;
   report_metrics ~metrics ~metrics_json
 
 let compare_cmd =
@@ -394,7 +394,7 @@ let simulate_engine sc ~alg ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
   Migration.Instr.reset ();
   match
     Storsim.Simulator.run ~rng:(rng_of_seed seed) ~jobs
-      ~choose:(Migration.choose_of_algorithm alg) ~policy cluster ~target
+      ~choose:(Migration.Pipeline.choose_of alg) ~policy cluster ~target
   with
   | exception Migration.Engine.Plan_rejected msg ->
       Printf.eprintf "error: replan rejected mid-flight: %s\n" msg;
@@ -414,7 +414,7 @@ let simulate_engine sc ~alg ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
         Format.printf "%a@." Migration.Engine.pp_outcome o
       end
       else begin
-        Printf.printf "algorithm: %s\n" (Migration.algorithm_to_string alg);
+        Printf.printf "algorithm: %s\n" (solver_name alg);
         Format.printf "%a@." Storsim.Simulator.pp_report report
       end;
       let v =
@@ -529,11 +529,11 @@ let simulate scenario n_disks n_items alg seed jobs verbose trace fault_rate
         "error: --distributed executes fault-free; fault options are not \
          supported\n";
       exit 2
-  | Some _ when alg <> Migration.Auto ->
+  | Some _ when alg != Migration.Pipeline.auto ->
       Printf.eprintf
         "error: --distributed plans with auto; --algorithm %s is not \
          supported\n"
-        (Migration.algorithm_to_string alg);
+        (solver_name alg);
       exit 2
   | Some _ | None -> ());
   let rng = rng_of_seed seed in
@@ -831,8 +831,10 @@ let print_failure ~regress_dir ~replay (f : Gen.Fuzz.failure) =
 
 (* the differential mode: every applicable planner on every instance *)
 let fuzz_differential ~families ~count ~seed ~size ~jobs ~inject_broken =
-  if inject_broken then Migration.Solver.register broken_solver;
-  let report = Gen.Fuzz.run ~size ~jobs ~families ~count ~seed () in
+  let solvers =
+    Migration.Pipeline.solvers @ if inject_broken then [ broken_solver ] else []
+  in
+  let report = Gen.Fuzz.run ~size ~solvers ~jobs ~families ~count ~seed () in
   Printf.printf "fuzz: %d families x %d instances, size %d, seed %d\n\n"
     (List.length families) count size seed;
   (* the gap histogram sits two spaces out *)
@@ -1123,7 +1125,7 @@ let fuzz_cmd =
   in
   let inject_broken =
     let doc =
-      "Differential mode only: also register a deliberately broken \
+      "Differential mode only: also run a deliberately broken \
        planner (testing hook: exercises failure reporting and the non-zero \
        exit code)."
     in

@@ -26,13 +26,13 @@ let () =
 
   (* all constraints even -> Theorem 4.1 applies: schedule is optimal *)
   let lb1 = Migration.Lower_bounds.lb1 inst in
-  let sched = Migration.plan Migration.Even_opt inst in
+  let sched = Migration.Solver.solve Migration.Solver.even_opt inst in
   Format.printf "even-opt: %d rounds (LB1 = %d -> provably optimal)@."
     (Migration.Schedule.n_rounds sched) lb1;
 
   let _, report =
     Storsim.Simulator.run
-      ~choose:(Migration.choose_of_algorithm Migration.Even_opt)
+      ~choose:(fun _ -> Migration.Solver.even_opt)
       ~policy:Migration.Engine.no_faults sc.Workloads.Scenarios.cluster
       ~target:sc.Workloads.Scenarios.target
   in
@@ -49,7 +49,7 @@ let () =
       (Migration.Instance.graph job'.Storsim.Cluster.instance)
       ~cap:1
   in
-  let sched1 = Migration.plan Migration.Hetero inst1 in
+  let sched1 = Migration.Solver.solve Migration.Solver.hetero inst1 in
   Format.printf
     "homogeneous strawman (c=1 everywhere): %d rounds — %.1fx more rounds@."
     (Migration.Schedule.n_rounds sched1)

@@ -22,7 +22,7 @@ let recover policy =
   let outcome, report =
     Storsim.Simulator.run
       ~rng:(Random.State.make [| 14 |])
-      ~choose:(Migration.choose_of_algorithm Migration.Hetero)
+      ~choose:(fun _ -> Migration.Solver.hetero)
       ~policy sc.Workloads.Scenarios.cluster
       ~target:sc.Workloads.Scenarios.target
   in

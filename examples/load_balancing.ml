@@ -28,7 +28,7 @@ let () =
     (Migration.Lower_bounds.lower_bound ~rng inst);
 
   List.iter
-    (fun alg ->
+    (fun (s : Migration.Solver.t) ->
       (* fresh copies: the simulator mutates placements *)
       let sc =
         Workloads.Scenarios.rebalance
@@ -37,16 +37,14 @@ let () =
           ~caps:[ 1; 2; 2; 4 ] ()
       in
       let _, report =
-        Storsim.Simulator.run ~rng
-          ~choose:(Migration.choose_of_algorithm alg)
+        Storsim.Simulator.run ~rng ~choose:(fun _ -> s)
           ~policy:Migration.Engine.no_faults sc.Workloads.Scenarios.cluster
           ~target:sc.Workloads.Scenarios.target
       in
-      Format.printf "%-8s %3d rounds   wall %.1f   utilization %.2f@."
-        (Migration.algorithm_to_string alg)
+      Format.printf "%-8s %3d rounds   wall %.1f   utilization %.2f@." s.name
         report.Storsim.Simulator.rounds report.Storsim.Simulator.wall_time
         report.Storsim.Simulator.mean_utilization)
-    [ Migration.Hetero; Migration.Saia_split; Migration.Greedy ];
+    Migration.Solver.[ hetero; saia; greedy ];
 
   (* what the same migration costs if parallelism is ignored, the
      assumption of most prior work the paper improves on *)
@@ -57,7 +55,7 @@ let () =
   in
   let _, report =
     Storsim.Simulator.run ~rng
-      ~choose:(Migration.choose_of_algorithm Migration.Hetero)
+      ~choose:(fun _ -> Migration.Solver.hetero)
       ~policy:Migration.Engine.no_faults sc1.Workloads.Scenarios.cluster
       ~target:sc1.Workloads.Scenarios.target
   in

@@ -22,7 +22,7 @@ let () =
   let demands = sc.Workloads.Scenarios.demands in
   let weights e = demands.(job.Storsim.Cluster.items.(e)) in
 
-  let full = Migration.plan ~rng Migration.Hetero inst in
+  let full = Migration.Solver.solve ~rng Migration.Solver.hetero inst in
   Format.printf "full migration: %d items over %d rounds@.@."
     (Migration.Instance.n_items inst)
     (Migration.Schedule.n_rounds full);
@@ -64,7 +64,10 @@ let () =
     Storsim.Cluster.plan_reconfiguration sc.Workloads.Scenarios.cluster
       ~target:sc.Workloads.Scenarios.target
   in
-  let rest = Migration.plan ~rng Migration.Hetero job2.Storsim.Cluster.instance in
+  let rest =
+    Migration.Solver.solve ~rng Migration.Solver.hetero
+      job2.Storsim.Cluster.instance
+  in
   Format.printf
     "  window 1 moved %d items; %d remain, needing %d more rounds@."
     (List.length window1.Migration.Deadline.moved)

@@ -26,7 +26,10 @@ let () =
   in
   let cluster = Storsim.Cluster.create ~disks ~placement:before in
   let job = Storsim.Cluster.plan_reconfiguration cluster ~target in
-  let sched = Migration.plan ~rng Migration.Hetero job.Storsim.Cluster.instance in
+  let sched =
+    Migration.Solver.solve ~rng Migration.Solver.hetero
+      job.Storsim.Cluster.instance
+  in
   Format.printf "=== migration trace (%d moves) ===@."
     (Migration.Instance.n_items job.Storsim.Cluster.instance);
   print_string

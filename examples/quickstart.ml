@@ -23,8 +23,9 @@ let () =
   Format.printf "Lower bounds: LB1 (degree/constraint) = %d, LB2 (Γ) = %d@."
     lb1 lb2;
 
-  (* Planners are first-class values in the Solver registry; resolve
-     one by name (or use the Migration.Solver.* built-ins directly). *)
+  (* Planners are first-class values: Migration.Pipeline.solvers lists
+     them all, Migration.Pipeline.find resolves one by name, and the
+     Migration.Solver.* built-ins can be used directly. *)
   let rng = Random.State.make [| 42 |] in
   List.iter
     (fun s ->
@@ -38,12 +39,10 @@ let () =
           (Migration.Schedule.n_rounds sched)
           Migration.Schedule.pp sched
       end)
-    (Migration.Solver.all ());
+    Migration.Pipeline.solvers;
 
   (* The "auto" planner is the full pipeline: decompose into connected
-     components, pick a solver per component, merge the schedules.
-     (The legacy enum API still works: Migration.plan Migration.Auto
-     inst routes here.) *)
+     components, pick a solver per component, merge the schedules. *)
   let sched, report =
     Migration.Pipeline.solve ~rng ~choose:Migration.Pipeline.auto_choose inst
   in

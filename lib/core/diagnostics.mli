@@ -18,7 +18,7 @@ type report = {
   lb1 : int;
   lb2 : int;
   binding_bound : [ `Degree | `Gamma | `Tie ];
-  suggested_algorithm : string;          (** planner the [Auto] dispatch picks *)
+  suggested_algorithm : string;          (** planner [auto] picks *)
 }
 
 val analyze : ?rng:Random.State.t -> Instance.t -> report

@@ -1,8 +1,8 @@
 (* Golden schedule fingerprints.
 
-   One fingerprint pins one planner run: the solver is looked up in the
-   registry, seeded with an RNG derived from [seed] alone, and the
-   resulting schedule is hashed through its canonical wire form
+   One fingerprint pins one planner run: the solver is looked up in
+   [Pipeline.solvers], seeded with an RNG derived from [seed] alone,
+   and the resulting schedule is hashed through its canonical wire form
    ([Schedule.to_string]).  Anything that changes the schedule — edge
    iteration order, RNG consumption, matching extraction order —
    changes the digest, which is exactly what the flat-core refactor
@@ -10,17 +10,12 @@
 
 type fp = { rounds : int; digest : string }
 
-(* Force [Pipeline] to link: its module initializer registers the
-   "auto" solver, and fingerprint rows name it.  Without this a binary
-   that only touches [Golden] would see a registry missing "auto". *)
-let () = ignore (Pipeline.auto : Solver.t)
-
 let header = "# family\tseed\tsize\tsolver\trounds\tmd5\n"
 
 let rng_for seed = Random.State.make [| 0x601d; seed; 0x5eed |]
 
 let fingerprint inst ~solver ~seed =
-  match Solver.find solver with
+  match Pipeline.find solver with
   | None -> invalid_arg ("Golden.fingerprint: unknown solver " ^ solver)
   | Some s ->
       if not (s.Solver.can_solve inst) then None

@@ -59,12 +59,38 @@ let rec plan ?rng ~threshold inst level =
                 [| firsts; seconds |])
               (Schedule.rounds half_sched)))
     in
-    (* leftovers: multiplicity 1 per pair, scheduled directly *)
+    (* leftovers (multiplicity 1 per pair) go first-fit into the slack
+       the doubled rounds leave on both their disks *)
+    let n = Multigraph.n_nodes g and cap = Instance.cap inst in
+    let load = Array.make (Array.length doubled * n) 0 in
+    let add r e =
+      let u, v = Multigraph.endpoints g e in
+      load.((r * n) + u) <- load.((r * n) + u) + 1;
+      load.((r * n) + v) <- load.((r * n) + v) + 1
+    in
+    Array.iteri (fun r edges -> List.iter (add r) edges) doubled;
+    let slack e r =
+      let u, v = Multigraph.endpoints g e in
+      load.((r * n) + u) < cap u && load.((r * n) + v) < cap v
+    in
+    let rounds = Seq.init (Array.length doubled) Fun.id in
+    let unplaced =
+      List.filter
+        (fun e ->
+          match Seq.find (slack e) rounds with
+          | Some r ->
+              add r e;
+              doubled.(r) <- e :: doubled.(r);
+              false
+          | None -> true)
+        leftovers
+    in
+    (* the rest is scheduled directly, in rounds of its own *)
     let rest_rounds =
-      if leftovers = [] then [||]
+      if unplaced = [] then [||]
       else begin
         let keep = Hashtbl.create 16 in
-        List.iter (fun e -> Hashtbl.add keep e ()) leftovers;
+        List.iter (fun e -> Hashtbl.add keep e ()) unplaced;
         let rest, mapping = Multigraph.sub g (Hashtbl.mem keep) in
         let rest_inst = Instance.create rest ~caps:(Instance.caps inst) in
         let rest_sched = base_plan ?rng rest_inst in

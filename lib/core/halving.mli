@@ -14,16 +14,18 @@
     + recursively schedules the half instance (one edge per pair);
     + expands each half-round into two real rounds (one edge of every
       pair each — same per-disk footprint, hence feasible);
-    + schedules the leftover simple-ish graph directly and appends it.
+    + places each odd leftover, first-fit, into the first doubled
+      round with spare capacity on both its disks;
+    + schedules the leftovers that fit nowhere directly and appends
+      their rounds.
 
     The recursion bottoms out at {!Hetero_coloring} (or
     {!Even_optimal} when all constraints are even) once the maximum
     multiplicity is small.
 
-    Rounds used: [2 * R(G/2) + R(odd leftovers)] — within a factor
-    matching the underlying algorithm's guarantee (the doubling step
-    loses at most one round per recursion level versus the bound,
-    which is the loss the paper's analysis accounts for). *)
+    Rounds used: at most [2 * R(G/2) + R(unplaced leftovers)].  No
+    bound relative to the direct planner is proven; the test suite
+    checks [2 * direct + 2] as a property on random fat instances. *)
 
 type stats = {
   rounds : int;

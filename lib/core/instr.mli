@@ -10,7 +10,7 @@
     Typical per-run use:
     {[
       Migration.Instr.reset ();
-      let sched = Migration.plan ~rng Migration.Auto inst in
+      let sched = Migration.Solver.solve ~rng Migration.Pipeline.auto inst in
       let snap = Migration.Instr.snapshot () in
       print_string (Migration.Instr.to_json snap)
     ]}

@@ -1,8 +1,8 @@
 (** Heterogeneous data migration — the paper's primary contribution.
 
-    Umbrella module re-exporting the library and providing the
-    top-level planner API: build an {!Instance}, pick an algorithm,
-    get a validated {!Schedule}. *)
+    Umbrella module re-exporting the library: build an {!Instance},
+    pick a planner from {!Pipeline.solvers}, and {!Solver.solve} it
+    into a validated {!Schedule}. *)
 
 module Instance = Instance
 module Schedule = Schedule
@@ -29,44 +29,3 @@ module Certify = Certify
 module Shrink = Shrink
 module Engine = Engine
 module Golden = Golden
-
-(** Planner selection. *)
-type algorithm =
-  | Auto
-      (** {!Even_opt} when every constraint is even (optimal,
-          Theorem 4.1), {!Hetero} otherwise. *)
-  | Even_opt  (** Section IV; requires all-even constraints. *)
-  | Hetero  (** Section V general algorithm. *)
-  | Saia_split  (** 1.5-approximation baseline. *)
-  | Greedy  (** first-fit baseline. *)
-  | Orbit_driven
-      (** Section V-C1 realized through the explicit orbit/witness
-          structures ({!Orbits.color_via_orbits}); structurally
-          faithful, slower than {!Hetero}. *)
-  | Sla_greedy
-      (** first-fit in weighted-group priority order — the
-          [sum w_g * C_g] heuristic of {!Objective}. *)
-
-val algorithm_to_string : algorithm -> string
-val algorithm_of_string : string -> algorithm option
-val all_algorithms : algorithm list
-
-(** The {!Solver.t} behind each legacy variant.  [Auto] is the
-    decompose/solve/merge pipeline ({!Pipeline.auto}); the others are
-    the registered built-ins. *)
-val solver_of_algorithm : algorithm -> Solver.t
-
-(** The per-component selection rule {!Engine.run} plans [alg] with:
-    [Auto] is {!Pipeline.auto_choose}, any other algorithm its solver
-    on every component. *)
-val choose_of_algorithm : algorithm -> Instance.t -> Solver.t
-
-(** [plan ?rng alg inst] computes a feasible schedule.  Every algorithm
-    returns a schedule that passes {!Schedule.validate}; they differ
-    in how close to the optimum round count they land (see
-    EXPERIMENTS.md).
-
-    Thin compatibility shim over the {!Solver} registry: new code
-    should resolve a {!Solver.t} (or call {!Pipeline.solve}) directly. *)
-val plan :
-  ?rng:Random.State.t -> ?jobs:int -> algorithm -> Instance.t -> Schedule.t

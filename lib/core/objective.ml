@@ -128,5 +128,3 @@ let sla_greedy =
         in
         Schedule.of_coloring ec);
   }
-
-let () = Solver.register sla_greedy

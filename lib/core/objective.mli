@@ -62,6 +62,5 @@ val claim :
     [--metrics-json]. *)
 val observe : Instance.t -> Schedule.t -> unit
 
-(** The ["sla-greedy"] registry entry (also registered at module
-    initialization, like the other built-ins). *)
+(** The ["sla-greedy"] planner, listed in {!Pipeline.solvers}. *)
 val sla_greedy : Solver.t

@@ -106,11 +106,9 @@ let auto =
              inst));
   }
 
-let () = Solver.register auto
+let solvers =
+  Solver.[ even_opt; hetero; saia; greedy; orbits ]
+  @ [ auto; Objective.sla_greedy ]
 
-let plan_report ?rng ?jobs name inst =
-  match name with
-  | "auto" -> Some (solve ?rng ?jobs ~choose:auto_choose inst)
-  | _ ->
-      Solver.find name
-      |> Option.map (fun s -> solve ?rng ?jobs ~choose:(fun _ -> s) inst)
+let find name = List.find_opt (fun s -> s.Solver.name = name) solvers
+let choose_of s = if s == auto then auto_choose else fun _ -> s

@@ -58,17 +58,20 @@ val solve :
     otherwise. *)
 val auto_choose : Instance.t -> Solver.t
 
-(** The ["auto"] solver — the pipeline with {!auto_choose} — also
-    added to the {!Solver} registry at load time. *)
+(** The ["auto"] solver: the pipeline with {!auto_choose}. *)
 val auto : Solver.t
 
-(** [plan_report ?rng name inst] resolves [name] in the registry and
-    runs it through the pipeline ([choose = const]), returning the
-    per-component report.  ["auto"] uses {!auto_choose}.  [None] if
-    the name is unknown. *)
-val plan_report :
-  ?rng:Random.State.t ->
-  ?jobs:int ->
-  string ->
-  Instance.t ->
-  (Schedule.t * report) option
+(** Every planner, in the order listings and the fuzz loop present
+    them: the {!Solver} built-ins, {!auto} and
+    {!Objective.sla_greedy}.  The one place that knows which planners
+    exist. *)
+val solvers : Solver.t list
+
+(** [find name] is the planner of {!solvers} called [name]. *)
+val find : string -> Solver.t option
+
+(** [choose_of s] is the per-component selection rule that plans
+    with [s]: {!auto_choose} for {!auto}, [s] itself on every
+    component otherwise.  [solve ~choose:(choose_of s)] gives the
+    per-component report of a run of [s]. *)
+val choose_of : Solver.t -> Instance.t -> Solver.t

@@ -103,11 +103,11 @@ let step ~fails inst =
   in
   match chunks (max 1 (m / 2)) with Some _ as r -> r | None -> halve_caps ()
 
-let minimize ?(max_steps = 400) ~fails inst =
+let minimize ~fails inst =
   if not (fails inst) then
     invalid_arg "Shrink.minimize: instance does not fail";
   let rec go inst steps =
-    if steps >= max_steps then inst
+    if steps >= 400 then inst
     else
       match step ~fails inst with
       | None -> inst

@@ -12,9 +12,8 @@
     The predicate must be deterministic (re-seed any solver run inside
     it): shrinking re-evaluates it on every candidate. *)
 
-(** [minimize ?max_steps ~fails inst] is a locally-minimal instance on
-    which [fails] still holds.  Each accepted reduction counts as one
-    step; [max_steps] (default 400) bounds the total work.
+(** [minimize ~fails inst] is a locally-minimal instance on which
+    [fails] still holds.  Each accepted reduction counts as one step;
+    at most 400 steps bound the total work.
     @raise Invalid_argument if [fails inst] is already false. *)
-val minimize :
-  ?max_steps:int -> fails:(Instance.t -> bool) -> Instance.t -> Instance.t
+val minimize : fails:(Instance.t -> bool) -> Instance.t -> Instance.t

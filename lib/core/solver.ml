@@ -7,19 +7,6 @@ type t = {
   solve : ctx -> Instance.t -> Schedule.t;
 }
 
-(* Registration order is the presentation order (CLI listings), so
-   keep a list rather than a table; the registry stays tiny. *)
-let registry : t list ref = ref []
-[@@lint.domain_safe
-  "mutated only by [register] at module-initialization time, before any \
-   worker domain exists; read-only during solves"]
-
-let register s =
-  registry := List.filter (fun s' -> s'.name <> s.name) !registry @ [ s ]
-
-let find name = List.find_opt (fun s -> s.name = name) !registry
-let all () = !registry
-let names () = List.map (fun s -> s.name) !registry
 let solve ?rng ?(jobs = 1) s inst = s.solve { rng; jobs } inst
 
 (* ------------------------------------------------------------------ *)
@@ -75,5 +62,3 @@ let orbits =
         let ec, _ = Orbits.color_via_orbits ?rng:ctx.rng inst in
         Schedule.of_coloring ec);
   }
-
-let () = List.iter register [ even_opt; hetero; saia; greedy; orbits ]

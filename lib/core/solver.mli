@@ -2,11 +2,10 @@
 
     A solver packages one scheduling algorithm behind a uniform
     interface: a stable [name] (the CLI string), a capability
-    predicate, and the solving function itself.  All built-in
-    algorithms are registered here at load time; {!Pipeline} registers
-    ["auto"] on top and {!Migration.plan} is a thin shim over the
-    registry, so the set of planners is extensible without touching
-    the dispatch sites. *)
+    predicate, and the solving function itself.  Solvers are plain
+    immutable values; {!Pipeline.solvers} is the one list of the
+    planners that exist, and a caller with a planner of its own (a
+    test's deliberately broken one) passes it as a value. *)
 
 (** Per-call context threaded through every solver.  Carries the RNG
     and the worker-domain budget today; anything else a solver may
@@ -22,24 +21,13 @@ type ctx = {
 }
 
 type t = {
-  name : string;  (** registry key and CLI spelling, e.g. ["hetero"] *)
+  name : string;  (** CLI spelling, e.g. ["hetero"] *)
   doc : string;   (** one-line description for listings *)
   can_solve : Instance.t -> bool;
       (** capability predicate — e.g. ["even-opt"] requires all-even
           constraints.  [solve] on an unsupported instance may raise. *)
   solve : ctx -> Instance.t -> Schedule.t;
 }
-
-(** [register s] adds [s] to the registry, replacing any previous
-    solver of the same name. *)
-val register : t -> unit
-
-val find : string -> t option
-
-(** All registered solvers, in registration order. *)
-val all : unit -> t list
-
-val names : unit -> string list
 
 (** [solve ?rng ?jobs s inst] is [s.solve { rng; jobs } inst] — the
     convenience entry point.  [jobs] defaults to [1] (sequential). *)
@@ -48,8 +36,8 @@ val solve :
 
 (** {1 Built-ins}
 
-    Registered at load time; exposed directly so callers (notably
-    {!Pipeline}'s per-component selection) need no registry lookup. *)
+    {!Pipeline} adds ["auto"] and lists them all in
+    {!Pipeline.solvers}, with {!Objective.sla_greedy}. *)
 
 val even_opt : t  (** Section IV, optimal; requires all-even caps *)
 

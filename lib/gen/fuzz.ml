@@ -48,47 +48,43 @@ let gap_counter name =
 let run_rng seed name = Random.State.make [| seed; Hashtbl.hash name; 0xf0 |]
 
 (* Deterministic solver run through the pipeline; [None] when the
-   solver is unknown or cannot solve this instance. *)
-let run_solver name ~seed inst =
-  match M.Solver.find name with
-  | None -> None
-  | Some s ->
-      if not (s.M.Solver.can_solve inst) then None
-      else
-        let rng = run_rng seed name in
-        Some
-          (match M.Pipeline.plan_report ~rng name inst with
-          | Some (sched, _) -> sched
-          | None -> assert false)
+   solver cannot solve this instance. *)
+let run_solver s ~seed inst =
+  if not (s.M.Solver.can_solve inst) then None
+  else
+    let rng = run_rng seed s.M.Solver.name in
+    Some (fst (M.Pipeline.solve ~rng ~choose:(M.Pipeline.choose_of s) inst))
 
 let lb_of ~seed inst =
   M.Lower_bounds.lower_bound ~rng:(run_rng seed "lb") inst
 
-let exact_opt ~budget ~max_items inst =
-  if M.Instance.n_items inst > max_items || M.Instance.n_disks inst > 10 then
-    None
+(* the ground-truth search: at most 300,000 branch-and-bound nodes, on
+   instances of at most 10 items and 10 disks *)
+let exact_opt inst =
+  if M.Instance.n_items inst > 10 || M.Instance.n_disks inst > 10 then None
   else
-    match M.Exact.solve ~node_budget:budget inst with
+    match M.Exact.solve ~node_budget:300_000 inst with
     | M.Exact.Optimal sched -> Some sched
     | M.Exact.Gave_up -> None
 
 (* The deterministic re-checks shrinking minimizes against.  Each
    returns true when the instance still exhibits the failure. *)
-let fails_certification name ~seed inst' =
-  match run_solver name ~seed inst' with
+let fails_certification s ~seed inst' =
+  match run_solver s ~seed inst' with
   | None -> false
   | Some sched ->
       let lb = lb_of ~seed inst' in
-      not (M.Certify.ok (M.Certify.check ~lb ~solver:name inst' sched))
+      not
+        (M.Certify.ok
+           (M.Certify.check ~lb ~solver:s.M.Solver.name inst' sched))
 
-let fails_beating_exact name ~seed ~budget ~max_items inst' =
-  match run_solver name ~seed inst' with
+let fails_beating_exact s ~seed inst' =
+  match run_solver s ~seed inst' with
   | None -> false
   | Some sched -> (
-      match exact_opt ~budget ~max_items inst' with
+      match exact_opt inst' with
       | None -> false
-      | Some opt ->
-          M.Schedule.n_rounds sched < M.Schedule.n_rounds opt)
+      | Some opt -> M.Schedule.n_rounds sched < M.Schedule.n_rounds opt)
 
 let fails_forwarding ~seed inst' =
   let rng = run_rng seed "forwarding" in
@@ -139,8 +135,8 @@ let reorder_messages ~lb inst sched =
   in
   bad_makespan @ bad_cert @ bad_sla
 
-let fails_reorder name ~seed inst' =
-  match run_solver name ~seed inst' with
+let fails_reorder s ~seed inst' =
+  match run_solver s ~seed inst' with
   | None -> false
   | Some sched -> reorder_messages ~lb:(lb_of ~seed inst') inst' sched <> []
 
@@ -189,12 +185,13 @@ let stats_of_tally solver t =
       Instr accounting — then shrink each failure, also sequentially,
       so delta-debugging replays identically run to run. *)
 
-(* which deterministic re-check the (sequential) shrinker replays *)
-type shrink_kind =
-  | Shrink_cert
-  | Shrink_beats_exact
-  | Shrink_forwarding
-  | Shrink_reorder
+(* a differential cell runs one planner, or the forwarding planner
+   that follows the planners on every instance *)
+type target = Planner of M.Solver.t | Forwarding
+
+let target_name = function
+  | Planner s -> s.M.Solver.name
+  | Forwarding -> "forwarding"
 
 type cell_outcome = {
   co_solver : string;
@@ -202,7 +199,8 @@ type cell_outcome = {
   co_gap : int;   (* meaningful when co_ran *)
   co_elapsed : float;  (* solve seconds, recorded under fuzz.solve.* *)
   co_messages : string list;  (* nonempty iff the cell failed *)
-  co_shrink : shrink_kind option;
+  co_fails : (M.Instance.t -> bool) option;
+      (* the deterministic re-check the (sequential) shrinker replays *)
 }
 
 type inst_eval = {
@@ -220,13 +218,13 @@ let cell ~solver messages =
     co_gap = 0;
     co_elapsed = 0.0;
     co_messages = messages;
-    co_shrink = None;
+    co_fails = None;
   }
 
-let eval_instance ~family ~size ~iseed ~budget ~max_items () =
+let eval_instance ~family ~size ~iseed =
   let inst = Families.instance family ~seed:iseed ~size in
   let lb = lb_of ~seed:iseed inst in
-  let opt = exact_opt ~budget ~max_items inst in
+  let opt = exact_opt inst in
   let exact_messages =
     match opt with
     | None -> []
@@ -238,83 +236,87 @@ let eval_instance ~family ~size ~iseed ~budget ~max_items () =
   { ie_seed = iseed; ie_inst = inst; ie_lb = lb; ie_opt = opt;
     ie_exact_messages = exact_messages }
 
-let eval_cell ~sname ie =
+let eval_cell target ie =
   let inst = ie.ie_inst and lb = ie.ie_lb and iseed = ie.ie_seed in
-  if sname = "forwarding" then begin
-    let rng = run_rng iseed "forwarding" in
-    match M.Forwarding.plan_with_helpers ~rng inst with
-    | exception e ->
-        {
-          (cell ~solver:"forwarding" [ "raised " ^ Printexc.to_string e ]) with
-          co_ran = false;
-          co_shrink = Some Shrink_forwarding;
-        }
-    | plan, stats ->
-        let rounds = stats.M.Forwarding.rounds in
-        let bad_validate =
-          match M.Forwarding.validate inst plan with
-          | Ok () -> None
-          | Error msg -> Some ("plan invalid: " ^ msg)
-        in
-        let bad_rounds =
-          if rounds > stats.M.Forwarding.direct_rounds then
-            Some
-              (Printf.sprintf "forwarding used %d rounds > %d direct" rounds
-                 stats.M.Forwarding.direct_rounds)
-          else None
-        in
-        let messages = List.filter_map Fun.id [ bad_validate; bad_rounds ] in
-        {
-          (cell ~solver:"forwarding" messages) with
-          co_gap = max 0 (rounds - lb);
-          co_shrink = (if messages = [] then None else Some Shrink_forwarding);
-        }
-  end
-  else
-    let t0 = M.Instr.now_s () in
-    match run_solver sname ~seed:iseed inst with
-    | None -> { (cell ~solver:sname []) with co_ran = false }
-    | Some sched ->
-        let elapsed = M.Instr.now_s () -. t0 in
-        let rounds = M.Schedule.n_rounds sched in
-        let gap = max 0 (rounds - lb) in
-        let v = M.Certify.check ~lb ~solver:sname inst sched in
-        if not (M.Certify.ok v) then
+  match target with
+  | Forwarding -> (
+      let rng = run_rng iseed "forwarding" in
+      match M.Forwarding.plan_with_helpers ~rng inst with
+      | exception e ->
           {
-            (cell ~solver:sname
-               (List.map M.Certify.violation_to_string v.M.Certify.violations))
+            (cell ~solver:"forwarding"
+               [ "raised " ^ Printexc.to_string e ])
             with
-            co_gap = gap;
-            co_elapsed = elapsed;
-            co_shrink = Some Shrink_cert;
+            co_ran = false;
+            co_fails = Some (fails_forwarding ~seed:iseed);
           }
-        else
-          let beats =
-            match ie.ie_opt with
-            | Some o when rounds < M.Schedule.n_rounds o ->
-                Some
-                  (Printf.sprintf "beat the proven optimum: %d rounds < OPT = %d"
-                     rounds (M.Schedule.n_rounds o))
-            | _ -> None
+      | plan, stats ->
+          let rounds = stats.M.Forwarding.rounds in
+          let bad_validate =
+            match M.Forwarding.validate inst plan with
+            | Ok () -> None
+            | Error msg -> Some ("plan invalid: " ^ msg)
           in
-          let reorder_msgs = reorder_messages ~lb inst sched in
+          let bad_rounds =
+            if rounds > stats.M.Forwarding.direct_rounds then
+              Some
+                (Printf.sprintf "forwarding used %d rounds > %d direct" rounds
+                   stats.M.Forwarding.direct_rounds)
+            else None
+          in
+          let messages = List.filter_map Fun.id [ bad_validate; bad_rounds ] in
           {
-            (cell ~solver:sname (Option.to_list beats @ reorder_msgs)) with
-            co_gap = gap;
-            co_elapsed = elapsed;
-            co_shrink =
-              (if beats <> None then Some Shrink_beats_exact
-               else if reorder_msgs <> [] then Some Shrink_reorder
-               else None);
-          }
+            (cell ~solver:"forwarding" messages) with
+            co_gap = max 0 (rounds - lb);
+            co_fails =
+              (if messages = [] then None
+               else Some (fails_forwarding ~seed:iseed));
+          })
+  | Planner s -> (
+      let sname = s.M.Solver.name in
+      let t0 = M.Instr.now_s () in
+      match run_solver s ~seed:iseed inst with
+      | None -> { (cell ~solver:sname []) with co_ran = false }
+      | Some sched ->
+          let elapsed = M.Instr.now_s () -. t0 in
+          let rounds = M.Schedule.n_rounds sched in
+          let gap = max 0 (rounds - lb) in
+          let v = M.Certify.check ~lb ~solver:sname inst sched in
+          if not (M.Certify.ok v) then
+            {
+              (cell ~solver:sname
+                 (List.map M.Certify.violation_to_string
+                    v.M.Certify.violations))
+              with
+              co_gap = gap;
+              co_elapsed = elapsed;
+              co_fails = Some (fails_certification s ~seed:iseed);
+            }
+          else
+            let beats =
+              match ie.ie_opt with
+              | Some o when rounds < M.Schedule.n_rounds o ->
+                  Some
+                    (Printf.sprintf
+                       "beat the proven optimum: %d rounds < OPT = %d" rounds
+                       (M.Schedule.n_rounds o))
+              | _ -> None
+            in
+            let reorder_msgs = reorder_messages ~lb inst sched in
+            {
+              (cell ~solver:sname (Option.to_list beats @ reorder_msgs)) with
+              co_gap = gap;
+              co_elapsed = elapsed;
+              co_fails =
+                (if beats <> None then Some (fails_beating_exact s ~seed:iseed)
+                 else if reorder_msgs <> [] then
+                   Some (fails_reorder s ~seed:iseed)
+                 else None);
+            })
 
-let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
-    ?(jobs = 1) ~families ~count ~seed () =
-  let solver_list =
-    match solvers with
-    | Some l -> l
-    | None -> M.Solver.names () @ [ "forwarding" ]
-  in
+let run ?(size = 12) ?(solvers = M.Pipeline.solvers) ?(jobs = 1) ~families
+    ~count ~seed () =
+  let targets = List.map (fun s -> Planner s) solvers @ [ Forwarding ] in
   let pool = if jobs > 1 then Some (Exec.create ~jobs) else None in
   Fun.protect ~finally:(fun () -> Option.iter Exec.shutdown pool)
   @@ fun () ->
@@ -327,9 +329,7 @@ let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
   let evals =
     Exec.map ?pool
       (fun (fam, index) ->
-        eval_instance ~family:fam ~size
-          ~iseed:(derived_seed ~base:seed ~index)
-          ~budget:exact_budget ~max_items:exact_max_items ())
+        eval_instance ~family:fam ~size ~iseed:(derived_seed ~base:seed ~index))
       inst_specs
   in
   let eval_tbl = Hashtbl.create 64 in
@@ -339,20 +339,19 @@ let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
   (* stage 2: (instance x solver) cells (parallel) *)
   let cell_specs =
     List.concat_map
-      (fun (fam, index) ->
-        List.map (fun sname -> (fam, index, sname)) solver_list)
+      (fun (fam, index) -> List.map (fun t -> (fam, index, t)) targets)
       inst_specs
   in
   let cells =
     Exec.map ?pool
-      (fun (fam, index, sname) ->
-        eval_cell ~sname (Hashtbl.find eval_tbl (fam.Families.name, index)))
+      (fun (fam, index, t) ->
+        eval_cell t (Hashtbl.find eval_tbl (fam.Families.name, index)))
       cell_specs
   in
   let cell_tbl = Hashtbl.create 256 in
   List.iter2
-    (fun (fam, index, sname) co ->
-      Hashtbl.add cell_tbl (fam.Families.name, index, sname) co)
+    (fun (fam, index, t) co ->
+      Hashtbl.add cell_tbl (fam.Families.name, index, target_name t) co)
     cell_specs cells;
   (* stage 3: sequential merge in (family, index, solver) order — the
      exact traversal the all-sequential loop used, so reports are
@@ -364,23 +363,6 @@ let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
     failures :=
       { family; seed = iseed; size; solver; messages; instance; shrunk }
       :: !failures
-  in
-  let shrinker_of kind ~sname ~iseed =
-    match kind with
-    | None -> fun inst -> inst
-    | Some Shrink_cert ->
-        fun inst -> shrink ~fails:(fails_certification sname ~seed:iseed) inst
-    | Some Shrink_beats_exact ->
-        fun inst ->
-          shrink
-            ~fails:
-              (fails_beating_exact sname ~seed:iseed ~budget:exact_budget
-                 ~max_items:exact_max_items)
-            inst
-    | Some Shrink_forwarding ->
-        fun inst -> shrink ~fails:(fails_forwarding ~seed:iseed) inst
-    | Some Shrink_reorder ->
-        fun inst -> shrink ~fails:(fails_reorder sname ~seed:iseed) inst
   in
   let family_reports =
     List.map
@@ -406,31 +388,37 @@ let run ?(size = 12) ?solvers ?(exact_budget = 300_000) ?(exact_max_items = 10)
             fail ~family:name ~iseed ~solver:"exact"
               ~messages:ie.ie_exact_messages ~instance:inst ~shrunk:inst;
           List.iter
-            (fun sname ->
+            (fun target ->
+              let sname = target_name target in
               let co = Hashtbl.find cell_tbl (name, index, sname) in
               if co.co_ran then begin
                 M.Instr.bump c_runs;
                 incr total_runs;
                 let t = tally sname in
                 tally_gap t co.co_gap;
-                if sname <> "forwarding" then begin
-                  M.Instr.bump ~by:co.co_gap (gap_counter sname);
-                  M.Instr.record (solve_timer sname) co.co_elapsed
-                end;
+                (match target with
+                | Planner _ ->
+                    M.Instr.bump ~by:co.co_gap (gap_counter sname);
+                    M.Instr.record (solve_timer sname) co.co_elapsed
+                | Forwarding -> ());
                 if co.co_messages = [] then
                   t.t_certified <- t.t_certified + 1
               end;
               if co.co_messages <> [] then
                 fail ~family:name ~iseed ~solver:sname
                   ~messages:co.co_messages ~instance:inst
-                  ~shrunk:(shrinker_of co.co_shrink ~sname ~iseed inst))
-            solver_list
+                  ~shrunk:
+                    (match co.co_fails with
+                    | None -> inst
+                    | Some fails -> shrink ~fails inst))
+            targets
         done;
         let per_solver =
           List.filter_map
-            (fun s ->
+            (fun t ->
+              let s = target_name t in
               Option.map (stats_of_tally s) (Hashtbl.find_opt tallies s))
-            solver_list
+            targets
         in
         { family = name; instances = count; per_solver })
       families

@@ -1,7 +1,7 @@
 (** The differential fuzz loop.
 
-    For every generated instance, run each applicable registered
-    solver through {!Migration.Pipeline}, certify the result with
+    For every generated instance, run each applicable planner
+    through {!Migration.Pipeline}, certify the result with
     {!Migration.Certify} (independent re-check plus the solver's
     stated guarantee), and cross-check solvers against each other:
 
@@ -46,7 +46,8 @@ type solver_stats = {
 type family_report = {
   family : string;
   instances : int;
-  per_solver : solver_stats list;  (** registry order, applicable only *)
+  per_solver : solver_stats list;
+      (** the planners' order, then forwarding; applicable only *)
 }
 
 type report = {
@@ -62,26 +63,24 @@ type report = {
 val derived_seed : base:int -> index:int -> int
 
 (** [run ~families ~count ~seed ()] fuzzes [count] instances per
-    family.  [size] (default 12) scales the instances;
-    [solvers] (default: every registered solver) restricts the
-    differential set; [exact_budget] (default [300_000] nodes) bounds
-    the ground-truth search, which only runs on instances with at most
-    [exact_max_items] (default 10) items.
+    family.  [size] (default 12) scales the instances; [solvers]
+    (default {!Migration.Pipeline.solvers}) is the differential set,
+    and the forwarding planner follows it on every instance.  The
+    ground-truth search runs on instances with at most 10 items and
+    10 disks, within 300,000 branch-and-bound nodes.
 
     [jobs] (default [1]) sets the {!Exec} worker-domain budget:
     instance generation and the (instance x solver) cells run on the
     pool, while the failure merge and the shrinker stay sequential.
     {b Determinism contract}: the report is byte-identical for every
     [jobs] value — every cell derives its RNGs from its own
-    [(seed, solver)] pair, cells share no mutable state, and tallies,
-    failure ordering, and {!Migration.Instr} accounting happen in the
-    sequential merge in the same (family, index, solver) order the
+    [(seed, solver name)] pair, cells share no mutable state, and
+    tallies, failure ordering, and {!Migration.Instr} accounting happen
+    in the sequential merge in the same (family, index, solver) order the
     all-sequential loop used.  Deterministic for fixed arguments. *)
 val run :
   ?size:int ->
-  ?solvers:string list ->
-  ?exact_budget:int ->
-  ?exact_max_items:int ->
+  ?solvers:Migration.Solver.t list ->
   ?jobs:int ->
   families:Families.family list ->
   count:int ->

@@ -1,13 +1,13 @@
-let gnm ?(self_loops = false) rng ~n ~m =
+let gnm rng ~n ~m =
   if n <= 0 then invalid_arg "Graph_gen.gnm: need n > 0";
-  if (not self_loops) && n = 1 && m > 0 then
+  if n = 1 && m > 0 then
     invalid_arg "Graph_gen.gnm: cannot avoid self-loops with n = 1";
   let g = Multigraph.create ~n () in
   for _ = 1 to m do
     let u = Random.State.int rng n in
     let rec pick () =
       let v = Random.State.int rng n in
-      if v = u && not self_loops then pick () else v
+      if v = u then pick () else v
     in
     ignore (Multigraph.add_edge g u (pick ()))
   done;

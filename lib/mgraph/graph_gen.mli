@@ -3,9 +3,9 @@
     Every randomized generator takes an explicit [Random.State.t] so
     that tests and benchmarks are reproducible. *)
 
-(** [gnm rng ~n ~m] draws [m] edges uniformly over node pairs.
-    Self-loops are excluded unless [self_loops] is set. *)
-val gnm : ?self_loops:bool -> Random.State.t -> n:int -> m:int -> Multigraph.t
+(** [gnm rng ~n ~m] draws [m] edges uniformly over pairs of distinct
+    nodes. *)
+val gnm : Random.State.t -> n:int -> m:int -> Multigraph.t
 
 (** Configuration-model multigraph: each node gets [deg] stubs and
     stubs are paired uniformly at random.  [n * deg] must be even.

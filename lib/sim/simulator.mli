@@ -29,8 +29,8 @@ val of_execution :
 (** [run ~policy cluster ~target] plans the placement diff and executes
     it through {!Migration.Engine.run} under [policy]; [rng], [jobs]
     and [choose] are passed through to the engine ([choose] defaults to
-    {!Migration.Pipeline.auto_choose}; see
-    {!Migration.choose_of_algorithm}).  The cluster moves by exactly
+    {!Migration.Pipeline.auto_choose}; {!Migration.Pipeline.choose_of}
+    plans with one solver).  The cluster moves by exactly
     the completed transfers, so it reaches [target] unless the policy
     quarantined something.  Replay the outcome's execution through
     {!Migration.Certify.certify_execution} to audit the run.

@@ -31,12 +31,12 @@ let disk_demand ~demands placement ~n_disks =
     (Storsim.Placement.to_array placement);
   carried
 
-let striped ~n_objects ~blocks_per_object ~n_disks ?(stagger = 1) () =
+let striped ~n_objects ~blocks_per_object ~n_disks =
   if n_objects < 1 || blocks_per_object < 1 || n_disks < 1 then
     invalid_arg "Layout.striped";
   Storsim.Placement.create ~n_items:(n_objects * blocks_per_object) (fun item ->
       let o = item / blocks_per_object and b = item mod blocks_per_object in
-      ((o * stagger) + b) mod n_disks)
+      (o + b) mod n_disks)
 
 let rebalance_incremental ~demands ~weights ~current ~tolerance =
   check_weights weights;

@@ -23,13 +23,12 @@ val imbalance :
 (** Striped layouts (staggered striping, Berson et al., cited as the
     multimedia-placement reference in the paper's related work):
     object [o]'s block [b] — item id [o * blocks_per_object + b] —
-    lands on disk [(o * stagger + b) mod n_disks].  Sequential reads
-    of an object then fan across disks, and consecutive objects start
-    on staggered offsets.
+    lands on disk [(o + b) mod n_disks].  Sequential reads of an
+    object then fan across disks, and consecutive objects start one
+    disk apart.
     @raise Invalid_argument on non-positive dimensions. *)
 val striped :
-  n_objects:int -> blocks_per_object:int -> n_disks:int -> ?stagger:int ->
-  unit -> Storsim.Placement.t
+  n_objects:int -> blocks_per_object:int -> n_disks:int -> Storsim.Placement.t
 
 (** Migration-aware rebalancing: starting from [current], move items
     {e only} off disks that exceed [(1 + tolerance)] times their fair

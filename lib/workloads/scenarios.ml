@@ -164,11 +164,11 @@ let restripe rng ~n_old ~n_new ~n_objects ~blocks_per_object ?(cap = 2) ~mode
   let n = n_old + n_new in
   let n_items = n_objects * blocks_per_object in
   let before =
-    Layout.striped ~n_objects ~blocks_per_object ~n_disks:n_old ()
+    Layout.striped ~n_objects ~blocks_per_object ~n_disks:n_old
   in
   let target =
     match mode with
-    | `Full -> Layout.striped ~n_objects ~blocks_per_object ~n_disks:n ()
+    | `Full -> Layout.striped ~n_objects ~blocks_per_object ~n_disks:n
     | `Minimal ->
         let weights = Array.make n 1.0 in
         let desired = fair_counts ~n_items ~weights in

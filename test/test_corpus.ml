@@ -67,41 +67,35 @@ let test_all_algorithms_on_corpus () =
     (fun (file, _, _, _) ->
       let inst = load file in
       List.iter
-        (fun alg ->
-          if alg <> M.Even_opt || M.Instance.all_caps_even inst then begin
-            let sched = M.plan ~rng:(rng_of_int 3) alg inst in
+        (fun (s : M.Solver.t) ->
+          if s.can_solve inst then begin
+            let sched = M.Solver.solve ~rng:(rng_of_int 3) s inst in
             match M.Schedule.validate inst sched with
             | Ok () -> ()
-            | Error msg ->
-                Alcotest.failf "%s with %s: %s" file
-                  (M.algorithm_to_string alg)
-                  msg
+            | Error msg -> Alcotest.failf "%s with %s: %s" file s.name msg
           end)
-        M.all_algorithms)
+        M.Pipeline.solvers)
     golden
 
 (* a regression instance once broke some planner: re-run every
-   registered solver through the pipeline and certify independently *)
+   planner through the pipeline and certify independently *)
 let test_regression file () =
   let inst = load_file (Filename.concat regressions_dir file) in
   let lb = M.Lower_bounds.lower_bound ~rng:(rng_of_int 1) inst in
   List.iter
-    (fun name ->
-      match M.Solver.find name with
-      | None -> ()
-      | Some s ->
-          if s.M.Solver.can_solve inst then begin
-            match M.Pipeline.plan_report ~rng:(rng_of_int 2) name inst with
-            | None -> ()
-            | Some (sched, _) ->
-                let v = M.Certify.check ~lb ~solver:name inst sched in
-                if not (M.Certify.ok v) then
-                  Alcotest.failf "%s with %s: %s" file name
-                    (String.concat "; "
-                       (List.map M.Certify.violation_to_string
-                          v.M.Certify.violations))
-          end)
-    (M.Solver.names ())
+    (fun (s : M.Solver.t) ->
+      if s.can_solve inst then begin
+        let sched, _ =
+          M.Pipeline.solve ~rng:(rng_of_int 2) ~choose:(M.Pipeline.choose_of s)
+            inst
+        in
+        let v = M.Certify.check ~lb ~solver:s.name inst sched in
+        if not (M.Certify.ok v) then
+          Alcotest.failf "%s with %s: %s" file s.name
+            (String.concat "; "
+               (List.map M.Certify.violation_to_string v.M.Certify.violations))
+      end)
+    M.Pipeline.solvers
 
 (* service-soak reproducers land in the same corpus (written by
    `migrate fuzz --service`): replay each regression instance through

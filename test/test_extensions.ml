@@ -51,6 +51,17 @@ let halving_close_to_direct =
       let d = M.Hetero_coloring.schedule ~rng:(rng_of_int seed) inst in
       M.Schedule.n_rounds h <= 2 * M.Schedule.n_rounds d + 2)
 
+(* seed 1439 at multiplicity 5 breaks the property's bound unless the
+   odd leftovers fill the doubled rounds' slack: given rounds of their
+   own they take 33 rounds against hetero's 15 *)
+let test_halving_leftovers_fill_slack () =
+  let inst = fat_instance 1439 5 in
+  let h = M.Halving.schedule ~rng:(rng_of_int 1439) inst in
+  let d = M.Hetero_coloring.schedule ~rng:(rng_of_int 1439) inst in
+  check_valid_schedule inst h "halving seed 1439";
+  Alcotest.(check bool) "within 2x + 2 of the direct planner" true
+    (M.Schedule.n_rounds h <= (2 * M.Schedule.n_rounds d) + 2)
+
 let test_halving_exact_on_even_powers () =
   (* triangle with 2^k parallel edges and c = 2: both the direct even
      algorithm and the halved one are optimal *)
@@ -514,6 +525,8 @@ let () =
           Alcotest.test_case "thin graphs skip recursion" `Quick
             test_halving_no_recursion_when_thin;
           halving_close_to_direct;
+          Alcotest.test_case "leftovers fill the doubled rounds" `Quick
+            test_halving_leftovers_fill_slack;
           Alcotest.test_case "even powers optimal" `Quick
             test_halving_exact_on_even_powers;
         ] );

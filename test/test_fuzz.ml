@@ -7,10 +7,6 @@ module M = Migration
 module Multigraph = Mgraph.Multigraph
 open Test_util
 
-(* registry snapshot before any test registers a deliberately broken
-   solver: the clean differential run must only audit the real ones *)
-let real_solvers = M.Solver.names () @ [ "forwarding" ]
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -182,8 +178,7 @@ let test_shrink_requires_failure () =
 
 let test_differential_clean () =
   let report =
-    Gen.Fuzz.run ~size:10 ~solvers:real_solvers ~families:Gen.all ~count:4
-      ~seed:99 ()
+    Gen.Fuzz.run ~size:10 ~families:Gen.all ~count:4 ~seed:99 ()
   in
   Alcotest.(check int) "instances" (4 * List.length Gen.all)
     report.Gen.Fuzz.total_instances;
@@ -205,8 +200,8 @@ let test_differential_clean () =
            fr.Gen.Fuzz.per_solver))
     report.Gen.Fuzz.family_reports
 
-(* The acceptance-criterion mutation smoke test: register a planner
-   that overloads disks by collapsing its first two rounds; the
+(* The acceptance-criterion mutation smoke test: a planner that
+   overloads disks by collapsing its first two rounds; the
    certifier must name the invariant and the shrunk reproducer must be
    small. *)
 let broken_solver =
@@ -227,11 +222,10 @@ let broken_solver =
   }
 
 let test_mutation_caught () =
-  M.Solver.register broken_solver;
   let fam = Option.get (Gen.family_of_string "unit") in
   let report =
-    Gen.Fuzz.run ~size:12 ~solvers:[ "broken" ] ~families:[ fam ] ~count:3
-      ~seed:5 ()
+    Gen.Fuzz.run ~size:12 ~solvers:[ broken_solver ] ~families:[ fam ]
+      ~count:3 ~seed:5 ()
   in
   Alcotest.(check bool) "at least one failure" true
     (report.Gen.Fuzz.failures <> []);
@@ -248,15 +242,12 @@ let test_mutation_caught () =
       Alcotest.(check bool) "reproducer <= 8 disks" true
         (M.Instance.n_disks f.Gen.Fuzz.shrunk <= 8);
       let still =
-        match M.Solver.find "broken" with
-        | None -> false
-        | Some s ->
-            let sched =
-              M.Solver.solve ~rng:(rng_of_int 0) s f.Gen.Fuzz.shrunk
-            in
-            not
-              (M.Certify.ok
-                 (M.Certify.check ~solver:"broken" f.Gen.Fuzz.shrunk sched))
+        let sched =
+          M.Solver.solve ~rng:(rng_of_int 0) broken_solver f.Gen.Fuzz.shrunk
+        in
+        not
+          (M.Certify.ok
+             (M.Certify.check ~solver:"broken" f.Gen.Fuzz.shrunk sched))
       in
       Alcotest.(check bool) "shrunk reproducer still fails" true still)
     report.Gen.Fuzz.failures
@@ -277,11 +268,10 @@ let dropping_solver =
   }
 
 let test_dropper_caught () =
-  M.Solver.register dropping_solver;
   let fam = Option.get (Gen.family_of_string "uniform") in
   let report =
-    Gen.Fuzz.run ~size:8 ~solvers:[ "dropper" ] ~families:[ fam ] ~count:2
-      ~seed:11 ()
+    Gen.Fuzz.run ~size:8 ~solvers:[ dropping_solver ] ~families:[ fam ]
+      ~count:2 ~seed:11 ()
   in
   Alcotest.(check bool) "dropper caught" true (report.Gen.Fuzz.failures <> []);
   let f = List.hd report.Gen.Fuzz.failures in

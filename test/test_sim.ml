@@ -96,7 +96,7 @@ let test_fig2_homogeneous () =
      of duration 1 -> total 3M *)
   let m = 5 in
   let disks, inst, job = fig2_job m 1 in
-  let s = M.plan ~rng:(rng ()) M.Hetero inst in
+  let s = M.Solver.solve ~rng:(rng ()) M.Solver.hetero inst in
   check_valid_schedule inst s "fig2 c1";
   Alcotest.(check int) "3M rounds" (3 * m) (M.Schedule.n_rounds s);
   Alcotest.(check (float 1e-9)) "3M time" (float_of_int (3 * m))
@@ -107,7 +107,7 @@ let test_fig2_parallel () =
      (duration 2) -> total 2M, the paper's improvement *)
   let m = 5 in
   let disks, inst, job = fig2_job m 2 in
-  let s = M.plan M.Even_opt inst in
+  let s = M.Solver.solve M.Solver.even_opt inst in
   check_valid_schedule inst s "fig2 c2";
   Alcotest.(check int) "M rounds" m (M.Schedule.n_rounds s);
   Alcotest.(check (float 1e-9)) "2M time" (float_of_int (2 * m))
@@ -256,7 +256,7 @@ let test_simulator_report () =
   let target = S.Placement.of_array [| 1; 2; 1 |] in
   let c = mk_cluster before in
   let _, report =
-    S.Simulator.run ~choose:(M.choose_of_algorithm M.Greedy)
+    S.Simulator.run ~choose:(fun _ -> M.Solver.greedy)
       ~policy:M.Engine.no_faults c ~target
   in
   Alcotest.(check int) "moved" 2 report.S.Simulator.items_moved;
@@ -519,7 +519,10 @@ let async_within_list_scheduling_bound =
     QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
       let disks, job = random_job seed 8 50 in
-      let sched = M.plan ~rng:(rng_of_int seed) M.Hetero job.S.Cluster.instance in
+      let sched =
+        M.Solver.solve ~rng:(rng_of_int seed) M.Solver.hetero
+          job.S.Cluster.instance
+      in
       let barrier = S.Bandwidth.schedule_duration ~disks job sched in
       let async =
         S.Async_exec.run ~disks job (S.Async_exec.By_schedule sched)
@@ -596,7 +599,9 @@ let size_balance_improves =
       let disks, job = random_job seed 6 60 in
       let rng = rng_of_int seed in
       let sizes = Workloads.Demand.sizes rng ~n:60 ~alpha:1.2 in
-      let sched = M.plan ~rng M.Hetero job.S.Cluster.instance in
+      let sched =
+        M.Solver.solve ~rng M.Solver.hetero job.S.Cluster.instance
+      in
       let sched', st = S.Size_balance.optimize ~disks ~sizes job sched in
       M.Schedule.validate job.S.Cluster.instance sched' = Ok ()
       && M.Schedule.n_rounds sched' = M.Schedule.n_rounds sched
@@ -893,7 +898,10 @@ let () =
         [
           Alcotest.test_case "capture and render" `Quick (fun () ->
               let disks, job = random_job 21 6 40 in
-              let sched = M.plan ~rng:(rng_of_int 21) M.Hetero job.S.Cluster.instance in
+              let sched =
+                M.Solver.solve ~rng:(rng_of_int 21) M.Solver.hetero
+                  job.S.Cluster.instance
+              in
               let t = S.Trace.capture ~disks job sched in
               Alcotest.(check int) "rounds" (M.Schedule.n_rounds sched)
                 (S.Trace.n_rounds t);
@@ -934,7 +942,10 @@ let () =
                 (String.length (S.Trace.render t) > 0));
           Alcotest.test_case "rebinning long schedules" `Quick (fun () ->
               let disks, job = random_job 23 4 200 in
-              let sched = M.plan ~rng:(rng_of_int 23) M.Greedy job.S.Cluster.instance in
+              let sched =
+                M.Solver.solve ~rng:(rng_of_int 23) M.Solver.greedy
+                  job.S.Cluster.instance
+              in
               let t = S.Trace.capture ~disks job sched in
               let rendered = S.Trace.render ~max_columns:20 t in
               (* every line stays near the column budget *)

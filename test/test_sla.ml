@@ -73,7 +73,7 @@ let reorder_preserves =
       return (seed, size))
     (fun (seed, size) ->
       let inst = Gen.instance tenants ~seed ~size in
-      let sched = M.plan ~rng:(rng_of_int seed) Auto inst in
+      let sched = M.Solver.solve ~rng:(rng_of_int seed) M.Pipeline.auto inst in
       let r = O.reorder inst sched in
       sorted_edges r = sorted_edges sched
       && M.Schedule.n_rounds r = M.Schedule.n_rounds sched
@@ -89,7 +89,7 @@ let test_reorder_untagged_noop_semantics () =
   ignore (Multigraph.add_edge g 2 3);
   ignore (Multigraph.add_edge g 0 1);
   let untagged = M.Instance.create g ~caps:[| 1; 1; 1; 1 |] in
-  let sched = M.plan ~rng:(rng_of_int 3) Auto untagged in
+  let sched = M.Solver.solve ~rng:(rng_of_int 3) M.Pipeline.auto untagged in
   let r = O.reorder untagged sched in
   Alcotest.(check int) "same rounds"
     (M.Schedule.n_rounds sched) (M.Schedule.n_rounds r);
@@ -102,7 +102,10 @@ let test_reorder_untagged_noop_semantics () =
 
 let plan_with_claim seed size =
   let inst = Gen.instance tenants ~seed ~size in
-  let sched = O.reorder inst (M.plan ~rng:(rng_of_int seed) Auto inst) in
+  let sched =
+    O.reorder inst
+      (M.Solver.solve ~rng:(rng_of_int seed) M.Pipeline.auto inst)
+  in
   (inst, sched, O.claim ~solver:"auto" ~reordered:true inst sched)
 
 let test_certifier_accepts_honest () =

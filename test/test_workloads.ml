@@ -224,22 +224,22 @@ let scenarios_all_plannable =
       List.for_all
         (fun make ->
           List.for_all
-            (fun alg ->
+            (fun s ->
               let sc = make (rng_of_int seed) in
               let rng = rng_of_int (seed + 1) in
               let report =
-                S.Simulator.run ~rng ~choose:(M.choose_of_algorithm alg)
+                S.Simulator.run ~rng ~choose:(fun _ -> s)
                   ~policy:M.Engine.no_faults sc.W.Scenarios.cluster
                   ~target:sc.W.Scenarios.target
               in
               ignore report;
               S.Cluster.reached sc.W.Scenarios.cluster
                 ~target:sc.W.Scenarios.target)
-            [ M.Hetero; M.Saia_split; M.Greedy ])
+            M.Solver.[ hetero; saia; greedy ])
         mk)
 
 let test_striped_layout () =
-  let p = W.Layout.striped ~n_objects:4 ~blocks_per_object:3 ~n_disks:5 () in
+  let p = W.Layout.striped ~n_objects:4 ~blocks_per_object:3 ~n_disks:5 in
   (* object 0: blocks on disks 0,1,2; object 1 staggered: 1,2,3 *)
   Alcotest.(check int) "o0 b0" 0 (S.Placement.disk_of p 0);
   Alcotest.(check int) "o0 b2" 2 (S.Placement.disk_of p 2);
@@ -247,7 +247,7 @@ let test_striped_layout () =
   Alcotest.(check int) "o3 b2" 0 (S.Placement.disk_of p 11);
   Alcotest.check_raises "guards" (Invalid_argument "Layout.striped")
     (fun () ->
-      ignore (W.Layout.striped ~n_objects:0 ~blocks_per_object:1 ~n_disks:1 ()))
+      ignore (W.Layout.striped ~n_objects:0 ~blocks_per_object:1 ~n_disks:1))
 
 let test_restripe_modes () =
   let moves mode =

@@ -12,9 +12,11 @@
    its own parameters into a sink argument: [Fuzz.soak ~drive] hands
    [drive] to [Exec.map], so the drives its callers pass are roots
    too.  Every lib/ module initializer is a root as well: a registry
-   it fills ([Solver.register]) hands the stored closures to later
-   callers on any domain, with no reference the graph could follow.
-   Everything reachable from a root may execute on a worker domain.
+   it fills would hand the stored closures to later callers on any
+   domain, with no reference the graph could follow.  lib/ has no
+   initializer today (its planners are one immutable list); the
+   escinit fixture pins the case.  Everything reachable from a root
+   may execute on a worker domain.
 
    A module-level mutable binding referenced from that region is
    flagged at its definition site, with the chain from escape root to
