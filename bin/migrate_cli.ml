@@ -104,6 +104,14 @@ let algorithm_arg =
     & opt algorithm_conv Migration.Pipeline.auto
     & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
 
+(* A planner the user picked that cannot plan the instance is a usage
+   error: exit 2 before planning, rather than let the planner raise. *)
+let require_can_solve (alg : Migration.Solver.t) inst ~what =
+  if not (alg.can_solve inst) then begin
+    Printf.eprintf "error: planner %s cannot plan %s\n" alg.name what;
+    exit 2
+  end
+
 (* Structured instrumentation (Migration.Instr): reset before planning,
    report after.  Counters are registered at module load, so the JSON
    key set is stable run to run (zero, never missing). *)
@@ -222,6 +230,7 @@ let bounds_cmd =
 let plan path alg objective seed jobs quiet save metrics metrics_json verbose =
   setup_logs verbose;
   let inst = read_instance path in
+  require_can_solve alg inst ~what:"this instance";
   let rng = rng_of_seed seed in
   Migration.Instr.reset ();
   let sched = Migration.Solver.solve ~rng ~jobs alg inst in
@@ -387,6 +396,15 @@ let simulate_engine sc ~alg ~fault_rate ~crashes ~slows ~seed ~jobs ~trace
       ~n_disks:(Migration.Instance.n_disks inst)
       ~horizon ~crashes ~slowdowns:slows
   in
+  require_can_solve alg inst ~what:"this scenario";
+  (* the engine replans a slowed disk with its constraint halved *)
+  if slow_events <> [] then begin
+    let caps = Migration.Instance.caps inst in
+    List.iter (fun (_, d) -> caps.(d) <- max 1 (caps.(d) / 2)) slow_events;
+    require_can_solve alg
+      (Migration.Instance.create (Migration.Instance.graph inst) ~caps)
+      ~what:"this scenario once its --slow disks' constraints are halved"
+  end;
   let policy =
     Storsim.Fault.engine_policy ~fault_rate ~crashes:crash_events
       ~slowdowns:slow_events ~seed ()

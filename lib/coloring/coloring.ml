@@ -5,4 +5,3 @@ module Recolor = Recolor
 module Greedy_coloring = Greedy_coloring
 module Vizing = Vizing
 module Shannon = Shannon
-module Konig = Konig

@@ -4,8 +4,8 @@ let t_orient = Probes.timer "even_opt.pad_orient"
 let t_decompose = Probes.timer "even_opt.decompose"
 
 (* Steps 1-3: pad to degree exactly c_v * delta and Euler-orient.
-   Returns the padded graph (edges 0..m-1 are the real transfers) and
-   the orientation as parallel src/dst arrays. *)
+   Returns the orientation of the padded graph as parallel src/dst
+   arrays; edges 0..m-1 are the real transfers. *)
 let padded_orientation inst delta =
   let g = Instance.graph inst in
   let n = Multigraph.n_nodes g in
@@ -35,10 +35,9 @@ let padded_orientation inst delta =
   for v = 0 to n - 1 do
     assert (Multigraph.degree g' v = target v)
   done;
-  let srcs, dsts = Mgraph.Euler.orient g' in
-  (g', srcs, dsts)
+  Mgraph.Euler.orient g'
 
-(* Step 4, the paper's version: delta successive exact c_v/2-degree
+(* Step 4, as the paper gives it: delta successive exact c_v/2-degree
    subgraphs of H extracted by max-flow (Figure 3), all over one
    network.  [Bmatching.peel] fixes the edge order of every round after
    the first (pinned by the golden schedules); each round's list is
@@ -66,46 +65,7 @@ let decompose_by_flows inst delta srcs dsts m =
   assert exact;
   rounds
 
-(* Step 4, alternative: split each H-side of [v] into c_v/2 unit
-   copies (evenly, so every copy has degree exactly delta) and
-   König-color the delta-regular bipartite multigraph. *)
-let decompose_by_konig inst delta g' srcs dsts m =
-  let n = Instance.n_disks inst in
-  let half = Array.init n (fun v -> Instance.cap inst v / 2) in
-  let off = Split_graph.offsets half in
-  let copies = off.(n) in
-  (* out-copies are 0..copies-1, in-copies are copies..2*copies-1 *)
-  let h = Multigraph.create ~n:(2 * copies) () in
-  let out_cursor = Array.make n 0 and in_cursor = Array.make n 0 in
-  let out_copy v =
-    let c = off.(v) + out_cursor.(v) in
-    out_cursor.(v) <- (out_cursor.(v) + 1) mod half.(v);
-    c
-  in
-  let in_copy v =
-    let c = copies + off.(v) + in_cursor.(v) in
-    in_cursor.(v) <- (in_cursor.(v) + 1) mod half.(v);
-    c
-  in
-  let m' = Multigraph.n_edges g' in
-  let h_edge_of = Array.make m' (-1) in
-  for e = 0 to m' - 1 do
-    let he = Multigraph.add_edge h (out_copy srcs.(e)) (in_copy dsts.(e)) in
-    h_edge_of.(e) <- he
-  done;
-  (* round-robin over a degree divisible by c_v/2 gives every copy
-     degree exactly delta *)
-  assert (Multigraph.max_degree h = delta);
-  let coloring = Coloring.Konig.color h in
-  let rounds = Array.make delta [] in
-  for e = 0 to m - 1 do
-    match Coloring.Edge_coloring.color_of coloring h_edge_of.(e) with
-    | Some c -> rounds.(c) <- e :: rounds.(c)
-    | None -> assert false
-  done;
-  rounds
-
-let schedule ?(method_ = `Flows) inst =
+let schedule inst =
   if not (Instance.all_caps_even inst) then
     invalid_arg "Even_optimal.schedule: all transfer constraints must be even";
   let g = Instance.graph inst in
@@ -113,14 +73,12 @@ let schedule ?(method_ = `Flows) inst =
   if m = 0 then Schedule.of_rounds [||]
   else begin
     let delta = Lower_bounds.lb1 inst in
-    let g', srcs, dsts =
+    let srcs, dsts =
       Probes.time t_orient (fun () -> padded_orientation inst delta)
     in
     let rounds =
       Probes.time t_decompose (fun () ->
-          match method_ with
-          | `Flows -> decompose_by_flows inst delta srcs dsts m
-          | `Konig -> decompose_by_konig inst delta g' srcs dsts m)
+          decompose_by_flows inst delta srcs dsts m)
     in
     (* drop padding-only rounds *)
     let nonempty = Array.to_list rounds |> List.filter (fun r -> r <> []) in

@@ -17,7 +17,6 @@ type pool = {
   mu : Mutex.t;
   cond : Condition.t;  (* "queue non-empty or stopping" *)
   mutable stopped : bool;
-  busy : float array;  (* per-worker busy seconds; single writer each *)
   busy_timers : Probes.timer array;  (* exec.domain<i>.busy, one writer each *)
 }
 
@@ -49,8 +48,6 @@ let default_jobs () =
       ignore (Atomic.compare_and_set default_jobs_memo 0 j);
       Atomic.get default_jobs_memo
   | j -> j
-let jobs p = p.n_workers
-let busy_times p = Array.copy p.busy
 
 let rec worker_loop p w =
   Mutex.lock p.mu;
@@ -68,9 +65,7 @@ let rec worker_loop p w =
       Mutex.unlock p.mu;
       let t0 = Probes.now_s () in
       task ();
-      let dt = Probes.now_s () -. t0 in
-      p.busy.(w) <- p.busy.(w) +. dt;
-      Probes.record p.busy_timers.(w) dt;
+      Probes.record p.busy_timers.(w) (Probes.now_s () -. t0);
       worker_loop p w
 
 let create ~jobs =
@@ -84,7 +79,6 @@ let create ~jobs =
       mu = Mutex.create ();
       cond = Condition.create ();
       stopped = false;
-      busy = Array.make workers 0.0;
       busy_timers =
         (* registered here, on the caller domain: workers only ever
            Probes.record into their own preexisting cell *)

@@ -48,8 +48,6 @@ val default_jobs : unit -> int
     @raise Invalid_argument if [jobs < 1]. *)
 val create : jobs:int -> pool
 
-val jobs : pool -> int
-
 (** Stop the workers and join their domains.  Idempotent: repeated
     calls (from the owning domain) return immediately.  A {!map} on a
     shut-down pool degrades to the sequential inline path rather than
@@ -66,9 +64,3 @@ val with_pool : jobs:int -> (pool -> 'a) -> 'a
     otherwise.  The input is split into contiguous chunks pulled from
     a shared queue, so uneven task costs balance across workers. *)
 val map : ?pool:pool -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Seconds each worker spent running tasks since {!create}, indexed
-    by worker.  Length [0] for a sequential ([jobs = 1]) pool.  Meant
-    for reporting after the pool is idle; concurrent readers see
-    slightly stale values. *)
-val busy_times : pool -> float array

@@ -49,8 +49,8 @@ let alloc p =
   }
 
 (* Lay out the network of the [len] edges [slots.(0 .. len-1)] in
-   place, in the row order [Flow_network.add_arc] (source arcs, sink
-   arcs, then edges) and [freeze] would give:
+   place, arcs added in Figure 3 order (source arcs, sink arcs, then
+   edges) and each row holding its arcs in the order they were added:
    - the source's row, by left node;
    - the sink's row (the reverses of the sink arcs), by right node;
    - each left row: its reverse source arc, then its edges in slot
@@ -114,25 +114,19 @@ let run p net slots len =
 (* an edge arc carries one unit: it is selected once saturated *)
 let selected net i = net.rows.Max_flow.cap.(net.fwd.(i)) = 0
 
-(* One Dinic run over the whole problem, even when the bipartite graph
-   falls apart into many components.  The network is then their
-   disjoint union glued only at source and sink, and every augmenting
-   path stays inside one component (Dinic's DFS never passes through
-   the sink mid-path).  Restricted to one component, the joint run's
-   level functions, cursor dynamics and augmentations coincide with a
-   solo run on the (order-preserving) subproblem, so the joint
-   selection equals the merged per-component selections bit for bit.
-   test/test_flow.ml pins this as a property. *)
-let solve_max p =
-  check p;
-  let m = Array.length p.edge_left in
-  let net = alloc p in
-  let value = run p net (Array.init m Fun.id) m in
-  (Array.init m (selected net), value)
-
 let sum a = Array.fold_left ( + ) 0 a
 
-(* Each round keeps the edges it did not select in reverse order: the
+(* One Dinic run per round over the whole problem, even when the
+   bipartite graph falls apart into many components.  The network is
+   then their disjoint union glued only at source and sink, and every
+   augmenting path stays inside one component (Dinic's DFS never
+   passes through the sink mid-path).  Restricted to one component, the
+   joint run's level functions, cursor dynamics and augmentations
+   coincide with a solo run on the (order-preserving) subproblem, so
+   the joint selection equals the merged per-component selections bit
+   for bit.  test/test_flow.ml pins this as a property.
+
+   Each round keeps the edges it did not select in reverse order: the
    next round's network, and so its matching, depends on that order,
    which the golden schedules pin.  Two slot buffers alternate, since
    the reversal cannot compact in place. *)
@@ -167,18 +161,3 @@ let peel p ~rounds f =
     end
   done;
   !exact
-
-let solve_exact p =
-  let sel = Array.make (Array.length p.edge_left) false in
-  if peel p ~rounds:1 (fun _ e -> sel.(e) <- true) then Some sel else None
-
-let degrees p sel =
-  let ld = Array.make p.n_left 0 and rd = Array.make p.n_right 0 in
-  Array.iteri
-    (fun i l ->
-      if sel.(i) then begin
-        ld.(l) <- ld.(l) + 1;
-        rd.(p.edge_right.(i)) <- rd.(p.edge_right.(i)) + 1
-      end)
-    p.edge_left;
-  (ld, rd)

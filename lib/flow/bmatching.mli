@@ -20,35 +20,23 @@ type problem = {
           distinct edges *)
 }
 
-(** Largest subgraph respecting both capacity vectors.  Returns the
-    selection mask (indexed like the edges) and its size.
-
-    One max-flow run covers the whole problem, however many connected
-    components the bipartite graph has.  Augmenting paths never cross
-    components, so each component's part of the selection is exactly
-    what solving that component alone (edges in the same relative
-    order) would select.
-    @raise Invalid_argument on vectors of the wrong length, an
-    endpoint out of range or a negative capacity. *)
-val solve_max : problem -> bool array * int
-
-(** A subgraph in which every left node [l] has degree exactly
-    [left_cap.(l)] and every right node [r] exactly [right_cap.(r)];
-    [None] if no such subgraph exists (requires
-    [sum left_cap = sum right_cap]).  This is {!peel}'s one-round
-    case. *)
-val solve_exact : problem -> bool array option
-
 (** [peel p ~rounds f] extracts [rounds] exact b-matchings in a row,
     each from the edges the earlier ones left, over one network
-    allocated once.  Round [r] calls [f r e] for each edge [e] it
-    selects, in the order of the edges it was given: all edges in
-    index order for round 0, and for each later round the edges the
-    round before left, in reverse order.  Returns [false], without
-    reporting that round, at the first round with no exact b-matching
-    (as {!solve_exact} returns [None]).
-    @raise Invalid_argument as {!solve_max}, or if [rounds < 0]. *)
-val peel : problem -> rounds:int -> (int -> int -> unit) -> bool
+    allocated once.  An exact b-matching is a subgraph in which every
+    left node [l] has degree exactly [left_cap.(l)] and every right
+    node [r] exactly [right_cap.(r)].  Round [r] calls [f r e] for
+    each edge [e] it selects, in the order of the edges it was given:
+    all edges in index order for round 0, and for each later round the
+    edges the round before left, in reverse order.  Returns [false],
+    without reporting that round, at the first round with no exact
+    b-matching (always, for [rounds > 0], when
+    [sum left_cap <> sum right_cap]).
 
-(** Degrees induced by a selection mask; exposed for tests. *)
-val degrees : problem -> bool array -> int array * int array
+    Each round is one max-flow run over the whole problem, however many
+    connected components the bipartite graph has.  Augmenting paths
+    never cross components, so each component's part of a round is
+    exactly what the same round on that component alone (edges in the
+    same relative order) would select.
+    @raise Invalid_argument on vectors of the wrong length, an
+    endpoint out of range, a negative capacity, or [rounds < 0]. *)
+val peel : problem -> rounds:int -> (int -> int -> unit) -> bool

@@ -14,7 +14,7 @@ type rows = {
 let c_phases = Probes.counter "flow.bfs_phases"
 let c_paths = Probes.counter "flow.augmenting_paths"
 
-let check_ends s t = if s = t then invalid_arg "Max_flow.max_flow: s = t"
+let check_ends s t = if s = t then invalid_arg "Max_flow.dinic: s = t"
 
 (* Dinic over row-major arcs: BFS and DFS walk each row as one
    contiguous stretch of [head]/[cap].  All scratch (levels, BFS
@@ -100,83 +100,3 @@ let dinic { offsets; head; cap; rev } ~s ~t =
   Arena.release arena hq;
   Arena.release arena hl;
   !total
-
-(* The frozen rows already hold each node's arcs in order: copy them
-   out by position, run the kernel, and write the residuals back by
-   arc id. *)
-let max_flow net ~s ~t =
-  check_ends s t;
-  let { Flow_network.offsets; arc_ids } = Flow_network.freeze net in
-  let dsts, caps = Flow_network.raw net in
-  let m = Flow_network.n_arcs net in
-  let arena = Arena.local () in
-  let hh = Arena.ints arena ~len:m ~fill:0 in
-  let hc = Arena.ints arena ~len:m ~fill:0 in
-  let hr = Arena.ints arena ~len:m ~fill:0 in
-  let hp = Arena.ints arena ~len:m ~fill:0 in
-  let head = Arena.arr hh and cap = Arena.arr hc and rev = Arena.arr hr in
-  let pos = Arena.arr hp in
-  for p = 0 to m - 1 do
-    pos.(arc_ids.(p)) <- p
-  done;
-  for p = 0 to m - 1 do
-    let a = arc_ids.(p) in
-    head.(p) <- dsts.(a);
-    cap.(p) <- caps.(a);
-    rev.(p) <- pos.(a lxor 1)
-  done;
-  let value = dinic { offsets; head; cap; rev } ~s ~t in
-  for p = 0 to m - 1 do
-    caps.(arc_ids.(p)) <- cap.(p)
-  done;
-  Arena.release arena hp;
-  Arena.release arena hr;
-  Arena.release arena hc;
-  Arena.release arena hh;
-  value
-
-let min_cut net ~s =
-  let n = Flow_network.n_nodes net in
-  let adj = Flow_network.freeze net in
-  let offsets = adj.Flow_network.offsets and arc_ids = adj.Flow_network.arc_ids in
-  let dsts, caps = Flow_network.raw net in
-  let seen = Array.make n false in
-  let arena = Arena.local () in
-  let hq = Arena.ints arena ~len:n ~fill:0 in
-  let q = Arena.arr hq in
-  seen.(s) <- true;
-  q.(0) <- s;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let u = q.(!head) in
-    incr head;
-    for p = offsets.(u) to offsets.(u + 1) - 1 do
-      let a = arc_ids.(p) in
-      let v = dsts.(a) in
-      if (not seen.(v)) && caps.(a) > 0 then begin
-        seen.(v) <- true;
-        q.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  Arena.release arena hq;
-  seen
-
-let conservation_ok net ~s ~t =
-  let n = Flow_network.n_nodes net in
-  let balance = Array.make n 0 in
-  (* forward arcs are the even-indexed ones *)
-  let a = ref 0 in
-  let ok = ref true in
-  while !a < Flow_network.n_arcs net do
-    let f = Flow_network.flow net !a in
-    if f < 0 then ok := false;
-    balance.(Flow_network.src net !a) <- balance.(Flow_network.src net !a) - f;
-    balance.(Flow_network.dst net !a) <- balance.(Flow_network.dst net !a) + f;
-    a := !a + 2
-  done;
-  for v = 0 to n - 1 do
-    if v <> s && v <> t && balance.(v) <> 0 then ok := false
-  done;
-  !ok

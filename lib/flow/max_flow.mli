@@ -1,8 +1,8 @@
 (** Maximum flow (Dinic's algorithm).
 
-    Used by the even-capacity scheduler and by König colouring, through
-    {!Bmatching}, to extract the exact [c_v/2]-matchings of the paper's
-    Figure 3 flow network. *)
+    Used by the even-capacity scheduler, through {!Bmatching}, to
+    extract the exact [c_v/2]-matchings of the paper's Figure 3 flow
+    network. *)
 
 (** A network laid out row-major: the arcs leaving node [v] sit at
     positions [offsets.(v) .. offsets.(v+1) - 1], and the arc at
@@ -22,20 +22,8 @@ type rows = {
     contiguously and stops its BFS as soon as [t] is labelled; the DFS
     only extends paths towards [t], so both skip dead ends and nothing
     else.  Complexity O(V^2 E); O(E sqrt V) on unit-capacity bipartite
-    networks, the case this repo exercises.
+    networks, the case this repo exercises.  Afterwards the nodes
+    residual-reachable from [s] (through arcs with [cap > 0]) form a
+    minimum cut.
     @raise Invalid_argument if [s = t]. *)
 val dinic : rows -> s:int -> t:int -> int
-
-(** [max_flow net ~s ~t] augments [net] in place to a maximum [s]-[t]
-    flow and returns its value: {!dinic} over a row-major copy of
-    [net]'s {!Flow_network.freeze} rows, residuals written back by arc
-    id. *)
-val max_flow : Flow_network.t -> s:int -> t:int -> int
-
-(** [min_cut net ~s] after a {!max_flow} run: the set of nodes residual-
-    reachable from [s].  Arcs leaving the set certify optimality. *)
-val min_cut : Flow_network.t -> s:int -> bool array
-
-(** Checks flow conservation at every node except [s] and [t]; exposed
-    for tests. *)
-val conservation_ok : Flow_network.t -> s:int -> t:int -> bool

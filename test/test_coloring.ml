@@ -277,98 +277,6 @@ let test_shannon_triangle_tight () =
   check_valid_coloring t "triangle";
   Alcotest.(check int) "exactly 3M colors" (3 * m) (Ec.n_colors t)
 
-(* ------------------------------------------------------------------ *)
-(* König *)
-
-let test_konig_sides () =
-  let g = Mgraph.Graph_gen.cycle 4 in
-  Alcotest.(check bool) "even cycle bipartite" true
-    (Coloring.Konig.sides g <> None);
-  let odd = Mgraph.Graph_gen.cycle 5 in
-  Alcotest.(check bool) "odd cycle not" true (Coloring.Konig.sides odd = None);
-  let loop = Multigraph.create ~n:1 () in
-  ignore (Multigraph.add_edge loop 0 0);
-  Alcotest.(check bool) "self loop not" true (Coloring.Konig.sides loop = None)
-
-let test_konig_rejects () =
-  Alcotest.check_raises "odd cycle"
-    (Invalid_argument "Konig.color: graph is not bipartite") (fun () ->
-      ignore (Coloring.Konig.color (Mgraph.Graph_gen.cycle 3)))
-
-let konig_exact_delta =
-  qtest "konig: bipartite multigraphs colored with exactly Δ colors"
-    ~count:80
-    QCheck2.Gen.(
-      let* seed = int_bound 100_000 in
-      let* n1 = int_range 1 10 in
-      let* n2 = int_range 1 10 in
-      let* m = int_range 0 60 in
-      return (seed, n1, n2, m))
-    (fun (seed, n1, n2, m) ->
-      let g = Mgraph.Graph_gen.bipartite (rng_of_int seed) ~n1 ~n2 ~m in
-      let t = Coloring.Konig.color g in
-      Ec.is_complete t
-      && Ec.validate t = Ok ()
-      && Ec.n_colors t = Multigraph.max_degree g)
-
-let test_konig_beats_shannon_on_multiedges () =
-  (* two nodes, 6 parallel edges: Δ = 6 = König optimum; Shannon's
-     bound would allow 9 *)
-  let g = Multigraph.create ~n:2 () in
-  for _ = 1 to 6 do
-    ignore (Multigraph.add_edge g 0 1)
-  done;
-  let t = Coloring.Konig.color g in
-  check_valid_coloring t "parallel 6";
-  Alcotest.(check int) "exactly 6" 6 (Ec.n_colors t)
-
-let test_konig_disconnected () =
-  (* two bipartite components with different local degrees: palette is
-     the global max degree, not the sum *)
-  let g = Multigraph.create ~n:6 () in
-  ignore (Multigraph.add_edge g 0 1);
-  ignore (Multigraph.add_edge g 0 1);
-  ignore (Multigraph.add_edge g 0 1);
-  ignore (Multigraph.add_edge g 2 3);
-  ignore (Multigraph.add_edge g 4 5);
-  let t = Coloring.Konig.color g in
-  check_valid_coloring t "disconnected";
-  Alcotest.(check int) "palette = max degree" 3 (Ec.n_colors t)
-
-let test_konig_edgeless () =
-  let g = Multigraph.create ~n:4 () in
-  let t = Coloring.Konig.color g in
-  Alcotest.(check int) "empty palette" 0 (Ec.n_colors t)
-
-(* König's colouring pinned edge by edge, not only its validity and
-   palette size: the colour each edge gets depends on the order the
-   successive perfect matchings see the edges in, which the even-opt
-   `Konig decomposition turns into rounds.  Digests of fixed
-   [Graph_gen.bipartite] multigraphs: sparse, dense with parallel
-   stacks, unbalanced sides, and deep stacks on a 2x3 graph. *)
-let konig_pins =
-  [
-    ((1, 6, 9, 40), "799f605da86af8684a4f29c8ffa4a8e9");
-    ((2, 12, 12, 150), "5b2813f942c7304912e35321d3757795");
-    ((3, 30, 20, 400), "e908cd4cacffa5f4ff73aa7cc250346a");
-    ((4, 2, 3, 24), "2c4272ac9bbff4405a48ad5e66ff145b");
-  ]
-
-let test_konig_pinned () =
-  List.iter
-    (fun ((seed, n1, n2, m), want) ->
-      let g = Mgraph.Graph_gen.bipartite (rng_of_int seed) ~n1 ~n2 ~m in
-      let t = Coloring.Konig.color g in
-      let colors =
-        List.init (Multigraph.n_edges g) (fun e ->
-            match Ec.color_of t e with Some c -> string_of_int c | None -> "-")
-      in
-      let got = Digest.to_hex (Digest.string (String.concat "," colors)) in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d, %dx%d, m = %d" seed n1 n2 m)
-        want got)
-    konig_pins
-
 let test_greedy_order_override () =
   let g = Mgraph.Graph_gen.path 3 in
   (* reversed order still yields a complete valid coloring *)
@@ -408,17 +316,6 @@ let () =
         [
           shannon_bound;
           Alcotest.test_case "triangle tight" `Quick test_shannon_triangle_tight;
-        ] );
-      ( "konig",
-        [
-          Alcotest.test_case "sides" `Quick test_konig_sides;
-          Alcotest.test_case "rejects non-bipartite" `Quick test_konig_rejects;
-          konig_exact_delta;
-          Alcotest.test_case "parallel edges exact" `Quick
-            test_konig_beats_shannon_on_multiedges;
-          Alcotest.test_case "disconnected" `Quick test_konig_disconnected;
-          Alcotest.test_case "edgeless" `Quick test_konig_edgeless;
-          Alcotest.test_case "pinned colouring" `Quick test_konig_pinned;
         ] );
       ( "greedy_order",
         [ Alcotest.test_case "order override" `Quick test_greedy_order_override ] );

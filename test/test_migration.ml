@@ -400,15 +400,6 @@ let test_algorithm_strings () =
     M.Pipeline.solvers;
   Alcotest.(check bool) "unknown" true (M.Pipeline.find "nope" = None)
 
-let even_konig_matches_flows =
-  qtest "even caps: Konig decomposition is also optimal" ~count:60
-    even_instance_gen
-    (fun spec ->
-      let inst = instance_of_spec spec in
-      let s = M.Even_optimal.schedule ~method_:`Konig inst in
-      M.Schedule.validate inst s = Ok ()
-      && M.Schedule.n_rounds s = M.Lower_bounds.lb1 inst)
-
 (* ------------------------------------------------------------------ *)
 (* Validator fuzzing: every corruption of a valid schedule is caught *)
 
@@ -675,7 +666,6 @@ let () =
           Alcotest.test_case "disconnected" `Quick
             test_even_optimal_disconnected;
           even_heterogeneous_caps;
-          even_konig_matches_flows;
         ] );
       ( "hetero",
         [

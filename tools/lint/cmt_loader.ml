@@ -111,8 +111,35 @@ let read_unit sources cmt_path =
                   | _ -> (None, None))
             else (None, None)
           in
-          Some { modname = cmt.cmt_modname; source; str; sig_vals; sig_mods }
+          let recorded = Option.value cmt.cmt_sourcefile ~default:cmt_path in
+          Some
+            ( recorded,
+              { modname = cmt.cmt_modname; source; str; sig_vals; sig_mods } )
       | _ -> None)
+
+(* One unit per module name, each given with the source path its cmt
+   records.  The first unit of a name is kept and a later one dropped
+   when it is the same source (the same cmt is discovered twice when a
+   root and its _build mirror both exist) or has no scanned source
+   (dune generates an alias module Dune__exe for every executable).
+   Two scanned sources of one module are an error: the call graph keys
+   every definition by module name and could not tell them apart. *)
+let rec one_per_module seen acc = function
+  | [] -> Ok (List.rev acc)
+  | (recorded, u) :: rest -> (
+      match Hashtbl.find_opt seen u.modname with
+      | None ->
+          Hashtbl.add seen u.modname (recorded, u);
+          one_per_module seen (u :: acc) rest
+      | Some (first, kept)
+        when first <> recorded && kept.source <> None && u.source <> None ->
+          Error
+            (Printf.sprintf
+               "module %s is defined by both %s and %s; the call graph \
+                keys definitions by module name, so lint them in separate \
+                runs"
+               u.modname first recorded)
+      | Some _ -> one_per_module seen acc rest)
 
 (* Load every unit under [roots].  Also returns, for the enforcement
    path, the lib-scope .ml sources that have no typed AST: an
@@ -120,31 +147,22 @@ let read_unit sources cmt_path =
    "clean" into "unchecked", so main.ml reports those as findings. *)
 let load ~roots ~(sources : Source.file list) =
   let units = List.filter_map (read_unit sources) (discover_cmts roots) in
-  (* keep one unit per modname — the same cmt can be discovered twice
-     when a root and its _build mirror both exist *)
-  let seen = Hashtbl.create 64 in
-  let units =
-    List.filter
-      (fun u ->
-        if Hashtbl.mem seen u.modname then false
-        else (
-          Hashtbl.add seen u.modname ();
-          true))
-      units
-  in
-  let covered = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      match u.source with
-      | Some f -> Hashtbl.replace covered f.path ()
-      | None -> ())
-    units;
-  let missing =
-    List.filter
-      (fun (f : Source.file) ->
-        (match f.scope with Source.Lib _ -> true | _ -> false)
-        && Filename.check_suffix f.path ".ml"
-        && not (Hashtbl.mem covered f.path))
-      sources
-  in
-  (units, missing)
+  match one_per_module (Hashtbl.create 64) [] units with
+  | Error _ as e -> e
+  | Ok units ->
+      let covered = Hashtbl.create 64 in
+      List.iter
+        (fun u ->
+          match u.source with
+          | Some f -> Hashtbl.replace covered f.path ()
+          | None -> ())
+        units;
+      let missing =
+        List.filter
+          (fun (f : Source.file) ->
+            (match f.scope with Source.Lib _ -> true | _ -> false)
+            && Filename.check_suffix f.path ".ml"
+            && not (Hashtbl.mem covered f.path))
+          sources
+      in
+      Ok (units, missing)

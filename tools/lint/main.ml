@@ -117,7 +117,11 @@ let () =
   let interproc =
     if not (Rules.interprocedural_requested enabled) then []
     else begin
-      let units, missing = Cmt_loader.load ~roots ~sources:files in
+      let units, missing =
+        match Cmt_loader.load ~roots ~sources:files with
+        | Ok loaded -> loaded
+        | Error msg -> fail "%s" msg
+      in
       let acc = ref [] in
       List.iter
         (fun (f : Source.file) ->

@@ -1,6 +1,6 @@
-(* Rule "hotpath": the flat-core contract for the seven hot kernels
-   (Euler orientation, graph traversal, König and Vizing coloring,
-   recoloring walks, max-flow, degree-constrained b-matching),
+(* Rule "hotpath": the flat-core contract for the six hot kernels
+   (Euler orientation, graph traversal, Vizing coloring, recoloring
+   walks, max-flow, degree-constrained b-matching),
    enforced over whole call chains.  Their steady-state loops run once
    per edge per round over ~1e6-edge instances, so they must iterate
    the CSR adjacency with arena scratch — no boxed [List] chains, no
@@ -27,7 +27,6 @@ let hot_files =
   [
     "euler.ml";
     "traversal.ml";
-    "konig.ml";
     "vizing.ml";
     "recolor.ml";
     "max_flow.ml";
